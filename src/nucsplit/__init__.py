@@ -1,77 +1,35 @@
 """Nuclei segmentation in 3D volumes: histogram-model binarization plus
 recursive balanced graph bipartitioning of the foreground."""
 
-from .binarize import BinarizationConfig, SlabResult, binarize
+from .binarize import BinarizationConfig, binarize
 from .evaluate import EvalReport, evaluate
-from .geometry import CutMetricWeights, cut_metric_weights, sphericity, surface_area, volume_of
-from .graphbuild import ComponentGraph, EdgeWeightConfig, build_graph
-from .histmodel import (
-    DegenerateHistogram,
-    FitFailure,
-    Histogram,
-    HistogramModel,
-    background_posterior,
-    em_fit,
-    model_threshold,
-    otsu_threshold,
-)
-from .nucmodel import Decision, NucleusModelParams, ScoreContext, component_score, score_function
+from .geometry import cut_metric_weights
+from .graphbuild import EdgeWeightConfig, build_graph
+from .nucmodel import NucleusModelParams
 from .partition import Bipartition, PartitionerConfig, bipartition, split_blocks
-from .splitter import SegmentationResult, SplitContext, recursive_split, segment
-from .synthgen import PlacementError, SceneConfig, generate
-from .volume import (
-    Component,
-    Volume,
-    connected_components,
-    gaussian_smooth,
-    read_rvol,
-    write_rvol,
-)
+from .splitter import SegmentationResult, segment
+from .synthgen import SceneConfig, generate
+from .volume import Volume, connected_components
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BinarizationConfig",
-    "SlabResult",
-    "binarize",
-    "EvalReport",
-    "evaluate",
-    "CutMetricWeights",
-    "cut_metric_weights",
-    "sphericity",
-    "surface_area",
-    "volume_of",
-    "ComponentGraph",
-    "EdgeWeightConfig",
-    "build_graph",
-    "DegenerateHistogram",
-    "FitFailure",
-    "Histogram",
-    "HistogramModel",
-    "background_posterior",
-    "em_fit",
-    "model_threshold",
-    "otsu_threshold",
-    "Decision",
-    "NucleusModelParams",
-    "ScoreContext",
-    "component_score",
-    "score_function",
     "Bipartition",
+    "EdgeWeightConfig",
+    "EvalReport",
+    "NucleusModelParams",
     "PartitionerConfig",
-    "bipartition",
-    "split_blocks",
-    "SegmentationResult",
-    "SplitContext",
-    "recursive_split",
-    "segment",
-    "PlacementError",
     "SceneConfig",
-    "generate",
-    "Component",
+    "SegmentationResult",
     "Volume",
+    "binarize",
+    "bipartition",
+    "build_graph",
     "connected_components",
-    "gaussian_smooth",
-    "read_rvol",
-    "write_rvol",
+    "cut_metric_weights",
+    "evaluate",
+    "generate",
+    "segment",
+    "split_blocks",
 ]

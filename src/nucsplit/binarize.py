@@ -87,7 +87,10 @@ def _binarize_slab(v: Volume, z_lo: int, z_hi: int, cfg: BinarizationConfig):
         raise ValueError("negative gray levels cannot be binarized")
     hist = Histogram.from_values(q)
     model: Optional[HistogramModel] = None
-    if cfg.method == "model_threshold":
+    if len(hist.occupied()) < 2:
+        # one gray level holds no contrast: the slab is all background
+        t = int(q.flat[0])
+    elif cfg.method == "model_threshold":
         model = em_fit(hist)
         t = model_threshold(model)
     else:

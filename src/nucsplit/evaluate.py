@@ -10,7 +10,6 @@ up as merges and splits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -48,9 +47,6 @@ class EvalReport:
             "split_pct": self.split_pct,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     def format_table(self) -> str:
         rows = [
             ("ground truth", self.gt_count, ""),
@@ -65,14 +61,21 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _plurality(keys: np.ndarray, partners: np.ndarray, counts: np.ndarray) -> Dict[int, int]:
-    """partner with the largest count per key; ties -> smaller partner id."""
+def _plurality(keys: np.ndarray, partners: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Partner with the largest count per distinct key, in key order;
+    ties -> smaller partner id."""
     # sort so the winner is the first row of each key group
     order = np.lexsort((partners, -counts, keys))
     k = keys[order]
     first = np.ones(len(k), dtype=bool)
     first[1:] = k[1:] != k[:-1]
-    return dict(zip(k[first].tolist(), partners[order][first].tolist()))
+    return partners[order][first]
+
+
+def _excess(winners: np.ndarray) -> int:
+    """Fan-in beyond one, summed over the nonzero partners that won."""
+    hit = winners[winners > 0]
+    return int(hit.size - np.unique(hit).size)
 
 
 def evaluate(truth: Volume, predicted: Volume) -> EvalReport:
@@ -80,36 +83,31 @@ def evaluate(truth: Volume, predicted: Volume) -> EvalReport:
         raise ValueError(
             f"shape mismatch: truth {truth.data.shape} vs predicted {predicted.data.shape}"
         )
-    t = truth.data.ravel().astype(np.int64)
-    p = predicted.data.ravel().astype(np.int64)
-
-    pairs, counts = np.unique(np.stack([t, p]), axis=1, return_counts=True)
-    tk, pk = pairs[0], pairs[1]
-
-    gt_labels = np.unique(tk[tk > 0])
-    pred_labels = np.unique(pk[pk > 0])
-    gt_count = int(gt_labels.size)
-    predicted_count = int(pred_labels.size)
+    for name, v in (("truth", truth), ("predicted", predicted)):
+        if v.data.dtype.kind != "u":
+            raise ValueError(
+                f"{name} labels are {v.dtype_code}; evaluate needs integer labels (u8/u16/u32)"
+            )
+    # one uint64 key per voxel pair: ids are at most 32 bits wide, so t << 32 | p
+    # cannot overflow and no table grows with the id values
+    key = truth.data.ravel().astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= predicted.data.ravel()
+    pairs, counts = np.unique(key, return_counts=True)
+    tk = pairs >> np.uint64(32)
+    pk = pairs & np.uint64(0xFFFFFFFF)
 
     fwd_rows = tk > 0  # truth nucleus -> predicted label (background allowed)
     fwd = _plurality(tk[fwd_rows], pk[fwd_rows], counts[fwd_rows])
     back_rows = pk > 0
     back = _plurality(pk[back_rows], tk[back_rows], counts[back_rows])
 
-    missed = sum(1 for g in gt_labels.tolist() if fwd[g] == 0)
-    added = sum(1 for o in pred_labels.tolist() if back[o] == 0)
-
-    fan_in: Dict[int, int] = {}
-    for g in gt_labels.tolist():
-        if fwd[g] != 0:
-            fan_in[fwd[g]] = fan_in.get(fwd[g], 0) + 1
-    merged = sum(c - 1 for c in fan_in.values() if c > 1)
-
-    fan_out: Dict[int, int] = {}
-    for o in pred_labels.tolist():
-        if back[o] != 0:
-            fan_out[back[o]] = fan_out.get(back[o], 0) + 1
-    split = sum(c - 1 for c in fan_out.values() if c > 1)
+    gt_count = int(fwd.size)
+    predicted_count = int(back.size)
+    missed = int((fwd == 0).sum())
+    added = int((back == 0).sum())
+    merged = _excess(fwd)
+    split = _excess(back)
 
     def pct(count: int) -> float:
         return 100.0 * count / gt_count if gt_count else 0.0

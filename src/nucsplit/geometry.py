@@ -95,18 +95,6 @@ class CutMetricWeights:
     fractions: np.ndarray
     omega: np.ndarray
 
-    def weight(self, offset) -> float:
-        off = np.asarray(offset, dtype=np.int8)
-        for cand in (off, -off):
-            hit = np.flatnonzero((self.directions == cand).all(axis=1))
-            if len(hit):
-                return float(self.omega[hit[0]])
-        raise ValueError(f"offset {tuple(offset)} is not a neighborhood direction")
-
-    @property
-    def single_voxel_area(self) -> float:
-        return 2.0 * float(self.omega.sum())
-
 
 def _calibrate(w0, unit, rho):
     """Adjust family weights so axis-normal planes and the orientation

@@ -11,7 +11,7 @@ anisotropic spacing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -54,26 +54,6 @@ class ComponentGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_coords)
-
-    def neighbors(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each undirected edge once, as (u, v, w) with u < v."""
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
-        keep = rows < self.indices
-        return rows[keep], self.indices[keep].astype(np.int64), self.weights[keep]
-
-    def cut_weight(self, side: np.ndarray) -> float:
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
-        crossing = side[rows] != side[self.indices]
-        # both directions of a crossing edge match, so halve the sum
-        return float(self.weights[crossing].sum() / 2.0)
-
-    def write_edges(self, fh: IO[str]) -> None:
-        for u, v, w in zip(*self.edge_arrays()):
-            fh.write(f"{u} {v} {float(w)!r}\n")
 
 
 def csr_from_edges(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -127,10 +127,6 @@ class HistogramModel:
             "alpha": self.alpha,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HistogramModel":
-        return cls(**{k: float(d[k]) for k in ("p_b", "mu_b", "sigma_b", "p_f", "mu_f", "sigma_f", "alpha")})
-
     def replace(self, **kw) -> "HistogramModel":
         return dataclasses.replace(self, **kw)
 

@@ -14,7 +14,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "Bipartition",
     "bipartition",
     "split_blocks",
-    "graph_from_edge_list",
 ]
 
 
@@ -365,30 +364,3 @@ def split_blocks(c: Component, b: Bipartition) -> List[Component]:
             found.append(comp.coords + origin)
     found.sort(key=lambda a: (int(a[0, 2]), int(a[0, 1]), int(a[0, 0])))
     return [Component(id=i + 1, coords=coords) for i, coords in enumerate(found)]
-
-
-def graph_from_edge_list(n_nodes: int, edges: Iterable[Tuple[int, int, float]]) -> ComponentGraph:
-    """Abstract weighted graph for oracle tests; duplicate pairs are summed."""
-    eu, ev, ew = [], [], []
-    for u, v, w in edges:
-        if not 0 <= u < n_nodes or not 0 <= v < n_nodes or u == v:
-            raise ValueError(f"bad edge ({u}, {v})")
-        if w < 0:
-            raise ValueError("edge weights must be >= 0")
-        eu.append(min(u, v))
-        ev.append(max(u, v))
-        ew.append(float(w))
-    if eu:
-        key = np.array(eu, dtype=np.int64) * n_nodes + np.array(ev, dtype=np.int64)
-        uniq, inv = np.unique(key, return_inverse=True)
-        agg = np.bincount(inv, weights=np.array(ew))
-        indptr, indices, weights = csr_from_edges(n_nodes, uniq // n_nodes, uniq % n_nodes, agg)
-    else:
-        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        indices = np.empty(0, dtype=np.int32)
-        weights = np.empty(0, dtype=np.float64)
-    coords = np.stack(
-        [np.arange(n_nodes, dtype=np.int32), np.zeros(n_nodes, np.int32), np.zeros(n_nodes, np.int32)],
-        axis=1,
-    )
-    return ComponentGraph(coords, indptr, indices, weights)

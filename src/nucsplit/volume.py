@@ -67,13 +67,6 @@ class Volume:
         dx, dy, dz = self.spacing
         return dx * dy * dz
 
-    def __getitem__(self, xyz):
-        x, y, z = xyz
-        return self.data[z, y, x]
-
-    def astype(self, code: str) -> "Volume":
-        return Volume(self.data.astype(DTYPE_CODES[code]), self.spacing)
-
     def __eq__(self, other):
         return (
             isinstance(other, Volume)
@@ -115,34 +108,6 @@ class Component:
         lo = self.coords.min(axis=0)
         hi = self.coords.max(axis=0)
         return lo, hi
-
-
-def physical_distance(p, q, spacing) -> float:
-    """Euclidean distance between voxel coordinates scaled by the spacing."""
-    d = (np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)) * np.asarray(
-        spacing, dtype=np.float64
-    )
-    return float(np.sqrt(np.dot(d, d)))
-
-
-def pixel_distance(p, q, kind: int = 6) -> int:
-    """Grid step distance: ``kind=6`` city-block, ``kind=26`` checkerboard."""
-    d = np.abs(np.asarray(p, dtype=np.int64) - np.asarray(q, dtype=np.int64))
-    if kind == 6:
-        return int(d.sum())
-    if kind == 26:
-        return int(d.max())
-    raise ValueError(f"kind must be 6 or 26, got {kind}")
-
-
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Sampled Gaussian, truncated at ceil(3*sigma), renormalized to sum 1."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2) if sigma > 0 else np.ones(1)
-    return k / k.sum()
 
 
 def gaussian_smooth(v: Volume, sigma: float) -> Volume:
@@ -226,32 +191,6 @@ def paint_component(c: Component, pad: int = 0):
     rel = c.coords - origin
     box[rel[:, 2], rel[:, 1], rel[:, 0]] = True
     return box, origin
-
-
-def component_border(c: Component, mask: Volume | None = None) -> np.ndarray:
-    """Voxels of the component with at least one 6-neighbor outside it.
-
-    The volume boundary counts as outside.  Returns (M, 3) coords in scan order.
-    """
-    if mask is not None:
-        sx, sy, sz = mask.size
-        if (c.coords.max(axis=0) >= (sx, sy, sz)).any() or c.coords.min() < 0:
-            raise ValueError("component exceeds mask bounds")
-    box, origin = paint_component(c, pad=1)
-    interior = (
-        box[1:-1, 1:-1, 1:-1]
-        & box[:-2, 1:-1, 1:-1]
-        & box[2:, 1:-1, 1:-1]
-        & box[1:-1, :-2, 1:-1]
-        & box[1:-1, 2:, 1:-1]
-        & box[1:-1, 1:-1, :-2]
-        & box[1:-1, 1:-1, 2:]
-    )
-    border = box[1:-1, 1:-1, 1:-1] & ~interior
-    zz, yy, xx = np.nonzero(border)
-    coords = np.stack([xx, yy, zz], axis=1).astype(np.int32) + (origin + 1)
-    flat = coords[:, 0] + (coords[:, 1].astype(np.int64) + coords[:, 2].astype(np.int64) * 2**20) * 2**20
-    return coords[np.argsort(flat, kind="stable")]
 
 
 def write_rvol(path, v: Volume) -> None:

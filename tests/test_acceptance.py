@@ -37,12 +37,12 @@ from nucsplit.partition import (
     _fm_pass,
     _Level,
     bipartition,
-    graph_from_edge_list,
     split_blocks,
 )
 from nucsplit.splitter import segment
 from nucsplit.synthgen import SceneConfig, generate
 from nucsplit.volume import Volume, connected_components
+from oracles import graph_from_edge_list
 
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges
-from nucsplit.histmodel import DegenerateHistogram, Histogram, otsu_threshold
+from nucsplit.histmodel import Histogram, otsu_threshold
 from nucsplit.volume import Volume
 
 
@@ -50,9 +50,13 @@ def test_bright_ellipsoid_recovered():
 
 
 def test_constant_volume_degenerate():
-    v = Volume(np.full((4, 8, 8), 7, dtype=np.uint8))
-    with pytest.raises(DegenerateHistogram):
-        binarize(v, BinarizationConfig("otsu", slabs=4))
+    # one gray level per slab leaves nothing to separate: all background
+    for fill in (7, 0):
+        v = Volume(np.full((4, 8, 8), fill, dtype=np.uint8))
+        for method in ("otsu", "model_threshold"):
+            mask, slabs = binarize(v, BinarizationConfig(method, slabs=4))
+            assert not mask.data.any()
+            assert [(s.threshold, s.model) for s in slabs] == [(fill, None)] * 4
 
 
 def test_axial_decay_needs_slabs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nucsplit.cli import cli_main
-from nucsplit.volume import read_rvol
+from nucsplit.volume import Volume, read_rvol, write_rvol
 
 
 @pytest.fixture()
@@ -224,6 +224,13 @@ def test_data_errors_exit_2(tmp_path, scene_cfg, pipeline_cfg, capsys):
     assert rc == 2
     assert "sigma_smoooth" in capsys.readouterr().err
 
+    # float label volumes are not labels
+    f32 = tmp_path / "f32.rvol"
+    write_rvol(f32, Volume(np.ones((2, 3, 4), dtype=np.float32)))
+    rc = cli_main(["eval", "--pred", str(f32), "--truth", str(f32)])
+    assert rc == 2
+    assert "f32" in capsys.readouterr().err
+
 
 def test_segment_requires_model_section(tmp_path, scene_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
@@ -260,3 +267,22 @@ def test_model_flags_complete_a_configless_segment(tmp_path, scene_cfg, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["objects"] == 4
+
+
+def test_segment_constant_volume_finds_nothing(tmp_path, pipeline_cfg, capsys):
+    flat = tmp_path / "flat.rvol"
+    write_rvol(flat, Volume(np.full((8, 16, 16), 37, dtype=np.uint16)))
+    rc = cli_main(
+        [
+            "segment",
+            "--in",
+            str(flat),
+            "--config",
+            str(pipeline_cfg),
+            "--out",
+            str(tmp_path / "labels.rvol"),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["objects"] == 0
+    assert not read_rvol(tmp_path / "labels.rvol").data.any()

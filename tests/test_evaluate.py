@@ -1,10 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from nucsplit.evaluate import evaluate
 from nucsplit.volume import Volume
+from oracles import evaluate_reference
 
 
 def vol(arr):
@@ -102,14 +101,21 @@ def test_empty_truth_guard():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         evaluate(blocks((1, 4)), blocks((1, 5)))
+    # float labels are rejected by name rather than truncated
+    f32 = Volume(blocks((1, 4)).data.astype(np.float32))
+    with pytest.raises(ValueError, match="f32"):
+        evaluate(f32, blocks((1, 4)))
+    with pytest.raises(ValueError, match="f32"):
+        evaluate(blocks((1, 4)), f32)
 
 
 def test_report_serialization():
     t = blocks((1, 5), (0, 2), (2, 4))
     p = blocks((1, 5), (0, 6))
     rep = evaluate(t, p)
-    d = json.loads(rep.to_json())
+    d = rep.to_dict()
     assert d["gt_count"] == 2 and d["missed"] == 1
+    assert d == {k: getattr(rep, k) for k in d} and len(d) == 10
     table = rep.format_table()
     assert "missed" in table and "50.0%" in table
     assert len(table.splitlines()) == 6
@@ -120,3 +126,25 @@ def test_non_consecutive_labels_accepted():
     rep = evaluate(t, t)
     assert rep.gt_count == 2
     assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 0, 0, 0)
+    # ids at the top of the u32 range pair as exactly as small ones
+    top = 4294967295
+    t = blocks((top, 4), (0, 2), (top - 1, 4))
+    p = blocks((top, 3), (1, 3), (top - 1, 4))
+    rep = evaluate(t, p)
+    assert (rep.gt_count, rep.predicted_count) == (2, 3)
+    assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 1, 0, 0)
+    assert rep.to_dict() == evaluate_reference(t.data, p.data)
+
+
+def test_matches_plain_python_pairing():
+    rng = np.random.default_rng(11)
+    for trial in range(90):
+        dtype = (np.uint8, np.uint16, np.uint32)[trial % 3]
+        ids = rng.integers(1, np.iinfo(dtype).max, size=5, endpoint=True).astype(dtype)
+        ids[0] = 0  # background
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=3))
+        # few labels over few voxels, so overlaps often tie
+        t = ids[rng.integers(0, 1 + trial % 5, size=shape)]
+        p = ids[rng.integers(0, 5, size=shape)]
+        assert evaluate(Volume(t), Volume(p)).to_dict() == evaluate_reference(t, p)
+        assert evaluate(Volume(p), Volume(t)).to_dict() == evaluate_reference(p, t)

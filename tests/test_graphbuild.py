@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,7 +5,9 @@ import pytest
 
 from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph
 from nucsplit.histmodel import HistogramModel, background_posterior
+from nucsplit.partition import _cut_of, _Level
 from nucsplit.volume import Component, Volume, connected_components
+from oracles import cut_weight, edge_arrays
 
 
 def comps_of(mask, spacing=(1.0, 1.0, 1.0)):
@@ -52,7 +53,7 @@ def test_structure_matches_brute_force():
         g = build_graph(comp, v, cfg=EdgeWeightConfig("const"))
         assert g.n_nodes == len(comp.coords)
         want = brute_adjacencies(comp.coords)
-        eu, ev, _ = g.edge_arrays()
+        eu, ev, _ = edge_arrays(g)
         assert set(zip(eu.tolist(), ev.tolist())) == want
         assert g.edge_count == len(want)
 
@@ -65,8 +66,8 @@ def test_adjacency_symmetric_and_nonnegative():
     assert (g.weights >= 0).all()
     seen = {}
     for u in range(g.n_nodes):
-        nbrs, wts = g.neighbors(u)
-        for n, w in zip(nbrs.tolist(), wts.tolist()):
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        for n, w in zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist()):
             assert n != u
             seen[(u, n)] = w
     for (u, n), w in seen.items():
@@ -76,7 +77,7 @@ def test_adjacency_symmetric_and_nonnegative():
 def test_const_scheme_closed_form():
     v = solid_volume((2, 2, 2), spacing=(1.0, 2.0, 5.0))
     g = build_graph(full_component(v), v, cfg=EdgeWeightConfig("const"))
-    eu, ev, ew = g.edge_arrays()
+    eu, ev, ew = edge_arrays(g)
     got = sorted(zip(eu.tolist(), ev.tolist(), np.round(ew, 12).tolist()))
     weights = {w for _, _, w in got}
     assert weights == {1.0, 0.5, 0.2}
@@ -88,7 +89,7 @@ def test_grad_scheme_closed_form():
     data[0, 0] = [10.0, 10.0, 25.0]
     v = Volume(data, (1.0, 1.0, 1.0))
     g = build_graph(full_component(v), v, cfg=EdgeWeightConfig("grad", sigma_grad=15.0))
-    eu, ev, ew = g.edge_arrays()
+    eu, ev, ew = edge_arrays(g)
     table = dict(zip(zip(eu.tolist(), ev.tolist()), ew.tolist()))
     assert table[(0, 1)] == pytest.approx(1.0)  # equal intensities
     assert table[(1, 2)] == pytest.approx(math.exp(-0.5))  # one sigma apart
@@ -112,7 +113,7 @@ def test_prob_scheme_matches_posteriors():
     v = Volume(data, (1.0, 1.0, 1.0))
     g = build_graph(full_component(v), v, model=model, cfg=EdgeWeightConfig("prob"))
     post = background_posterior(model, np.array([15, 16, 180]))
-    eu, ev, ew = g.edge_arrays()
+    eu, ev, ew = edge_arrays(g)
     table = dict(zip(zip(eu.tolist(), ev.tolist()), ew.tolist()))
     assert table[(0, 1)] == pytest.approx(-math.log(min(post[0], post[1])))
     assert table[(1, 2)] == pytest.approx(-math.log(min(post[1], post[2])))
@@ -133,7 +134,7 @@ def test_anisotropy_divides_by_distance():
     v = solid_volume((3, 3, 3), spacing=(1.0, 1.0, 5.0))
     g = build_graph(full_component(v), v, cfg=EdgeWeightConfig("const"))
     coords = g.node_coords
-    eu, ev, ew = g.edge_arrays()
+    eu, ev, ew = edge_arrays(g)
     for u, w_, wt in zip(eu, ev, ew):
         dz = coords[w_][2] - coords[u][2]
         assert wt == pytest.approx(0.2 if dz else 1.0)
@@ -153,7 +154,7 @@ def test_planar_cut_orientation_invariant():
         dims = [(nx, 1.0), (ny, 2.0), (nz, 5.0)]
         del dims[axis]
         area = dims[0][0] * dims[0][1] * dims[1][0] * dims[1][1]
-        per_area.append(g.cut_weight(side) / area)
+        per_area.append(cut_weight(g, side) / area)
     assert per_area[0] == pytest.approx(per_area[1])
     assert per_area[1] == pytest.approx(per_area[2])
 
@@ -172,29 +173,15 @@ def test_scan_order_nodes_and_determinism():
     assert np.array_equal(g1.weights, g2.weights)
 
 
-def test_edge_dump_roundtrip():
-    rng = np.random.default_rng(5)
-    v = Volume(rng.integers(0, 99, size=(3, 4, 4)).astype(np.uint8), (1.0, 1.0, 1.0))
-    g = build_graph(full_component(v), v, cfg=EdgeWeightConfig("grad", sigma_grad=20.0))
-    buf = io.StringIO()
-    g.write_edges(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == g.edge_count
-    eu, ev, ew = g.edge_arrays()
-    for line, u, v_, w in zip(lines, eu, ev, ew):
-        pu, pv, pw = line.split()
-        assert (int(pu), int(pv)) == (u, v_)
-        assert float(pw) == w  # repr roundtrips exactly
-
-
 def test_cut_weight_against_direct_sum():
     rng = np.random.default_rng(13)
     v = Volume(rng.integers(0, 255, size=(4, 4, 4)).astype(np.uint8), (1.0, 1.0, 1.0))
     g = build_graph(full_component(v), v, cfg=EdgeWeightConfig("grad", sigma_grad=25.0))
     side = rng.integers(0, 2, size=g.n_nodes).astype(np.uint8)
-    eu, ev, ew = g.edge_arrays()
+    eu, ev, ew = edge_arrays(g)
     direct = ew[side[eu] != side[ev]].sum()
-    assert g.cut_weight(side) == pytest.approx(direct, rel=1e-12)
+    lv = _Level(g.indptr, g.indices, g.weights, np.ones(g.n_nodes))
+    assert _cut_of(lv, side) == pytest.approx(direct, rel=1e-12)
 
 
 def test_empty_component_rejected():

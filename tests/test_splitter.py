@@ -6,7 +6,7 @@ import pytest
 from nucsplit.binarize import BinarizationConfig, SlabResult, binarize
 from nucsplit.evaluate import evaluate
 from nucsplit.geometry import cut_metric_weights
-from nucsplit.histmodel import DegenerateHistogram
+from nucsplit.graphbuild import EdgeWeightConfig
 from nucsplit.nucmodel import NucleusModelParams, ScoreContext
 from nucsplit.partition import PartitionerConfig
 from nucsplit.splitter import SplitContext, _model_for, recursive_split, segment
@@ -179,10 +179,17 @@ def test_segment_fused_pair_recovers_both():
     assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 0, 0, 0)
 
 
-def test_flat_volume_surfaces_histogram_error():
-    flat = Volume(np.full((8, 8, 8), 37, dtype=np.uint8))
-    with pytest.raises(DegenerateHistogram):
-        segment(flat, NucleusModelParams(v_min=10.0, v_max=100.0))
+def test_flat_volume_gives_empty_labels():
+    params = NucleusModelParams(v_min=10.0, v_max=100.0)
+    for flat in (
+        Volume(np.full((8, 8, 8), 37, dtype=np.uint8)),
+        Volume(np.zeros((8, 16, 16), dtype=np.uint16)),
+    ):
+        for scheme in ("grad", "prob", "const"):
+            res = segment(flat, params, edge_cfg=EdgeWeightConfig(scheme))
+            assert res.labels.data.dtype == np.uint32
+            assert not res.labels.data.any()
+            assert res.objects == []
 
 
 def test_model_for_prefers_own_slab_then_nearest():

@@ -4,16 +4,13 @@ import pytest
 from nucsplit.volume import (
     Component,
     Volume,
-    component_border,
     connected_components,
-    gaussian_kernel_1d,
     gaussian_smooth,
     label_mask,
-    physical_distance,
-    pixel_distance,
     read_rvol,
     write_rvol,
 )
+from oracles import gaussian_kernel_1d
 
 
 def make_volume(size, spacing=(1.0, 1.0, 1.0), seed=0, dtype=np.uint16, hi=255):
@@ -28,7 +25,7 @@ def test_flat_layout_is_x_fastest():
     for z in range(sz):
         for y in range(sy):
             for x in range(sx):
-                assert v[x, y, z] == x + sx * (y + sy * z)
+                assert v.data[z, y, x] == x + sx * (y + sy * z)
     assert np.array_equal(v.data.ravel(), np.arange(sx * sy * sz))
 
 
@@ -46,36 +43,6 @@ def test_volume_validation():
 def test_voxel_volume():
     v = make_volume((3, 3, 3), spacing=(0.5, 0.5, 2.0))
     assert v.voxel_volume == pytest.approx(0.5)
-
-
-def test_physical_distance():
-    # hand value: sqrt((2*0.5)^2 + (1*1)^2 + (3*2)^2) = sqrt(1 + 1 + 36)
-    d = physical_distance((0, 0, 0), (2, 1, 3), (0.5, 1.0, 2.0))
-    assert d == pytest.approx(np.sqrt(38.0))
-    assert physical_distance((4, 4, 4), (4, 4, 4), (1, 1, 1)) == 0.0
-
-
-def test_pixel_distances():
-    assert pixel_distance((0, 0, 0), (2, -1, 3), kind=6) == 6
-    assert pixel_distance((0, 0, 0), (2, -1, 3), kind=26) == 3
-    assert pixel_distance((1, 1, 1), (1, 1, 1), kind=6) == 0
-    with pytest.raises(ValueError):
-        pixel_distance((0, 0, 0), (1, 0, 0), kind=18)
-
-
-def test_pixel_distance_is_a_metric():
-    rng = np.random.default_rng(7)
-    pts = rng.integers(-10, 10, size=(30, 3))
-    for kind in (6, 26):
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                dij = pixel_distance(pts[i], pts[j], kind)
-                assert dij == pixel_distance(pts[j], pts[i], kind)
-                assert (dij == 0) == bool((pts[i] == pts[j]).all())
-                for k in range(0, len(pts), 7):
-                    assert dij <= pixel_distance(pts[i], pts[k], kind) + pixel_distance(
-                        pts[k], pts[j], kind
-                    )
 
 
 def test_gaussian_kernel_shape_and_mass():
@@ -200,51 +167,6 @@ def test_label_mask_matches_components():
     for c in comps:
         assert (labels[c.coords[:, 2], c.coords[:, 1], c.coords[:, 0]] == c.id).all()
     assert int((labels != 0).sum()) == sum(len(c) for c in comps)
-
-
-def test_component_border_solid_block():
-    data = np.zeros((6, 6, 6), dtype=np.uint8)
-    data[1:5, 1:5, 1:5] = 1
-    comps = connected_components(Volume(data))
-    border = component_border(comps[0])
-    # 4^3 block minus its 2^3 interior
-    assert len(border) == 64 - 8
-    interior = {(x, y, z) for x in (2, 3) for y in (2, 3) for z in (2, 3)}
-    assert interior.isdisjoint({tuple(r) for r in border})
-
-
-def test_component_border_volume_edge_counts_as_outside():
-    data = np.ones((3, 3, 3), dtype=np.uint8)
-    comps = connected_components(Volume(data))
-    border = component_border(comps[0])
-    got = {tuple(r) for r in border}
-    want = {
-        (x, y, z)
-        for x in range(3)
-        for y in range(3)
-        for z in range(3)
-        if 0 in (x, y, z) or 2 in (x, y, z)
-    }
-    assert got == want
-
-
-def test_component_border_brute(tmp_path):
-    rng = np.random.default_rng(13)
-    for trial in range(6):
-        mask = Volume((rng.random((5, 6, 7)) < 0.45).astype(np.uint8))
-        for c in connected_components(mask):
-            inside = {tuple(r) for r in c.coords}
-            want = []
-            for x, y, z in sorted(inside, key=lambda p: (p[2], p[1], p[0])):
-                nbrs = [
-                    (x + 1, y, z), (x - 1, y, z),
-                    (x, y + 1, z), (x, y - 1, z),
-                    (x, y, z + 1), (x, y, z - 1),
-                ]
-                if any(nb not in inside for nb in nbrs):
-                    want.append((x, y, z))
-            got = [tuple(r) for r in component_border(c, mask)]
-            assert got == want
 
 
 def test_rvol_roundtrip(tmp_path):
