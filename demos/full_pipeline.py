@@ -38,7 +38,7 @@ def main():
 
     bin_cfg = BinarizationConfig(method="otsu", sigma_smooth=1.7, slabs=1)
     mask, _ = binarize(intensity, bin_cfg)
-    n_comp = len(connected_components(mask, 6))
+    n_comp = len(connected_components(mask))
     print(f"mask has {n_comp} connected component(s) for {scene.nucleus_count} nuclei "
           f"-> {scene.nucleus_count - n_comp} fusions to undo")
 

@@ -22,7 +22,7 @@ def fused_pair(r=9, center_gap=16, shape=(40, 40, 56)):
 
 def main():
     mask = fused_pair()
-    comps = connected_components(Volume(mask.astype(np.uint8)), 6)
+    comps = connected_components(Volume(mask.astype(np.uint8)))
     print(f"{len(comps)} foreground component(s); the pair is fused")
     c = comps[0]
     print(f"component: {len(c)} voxels")

@@ -15,7 +15,7 @@ from nucsplit.volume import Volume, connected_components
 
 
 def shape_component(mask, spacing=(1.0, 1.0, 1.0)):
-    return connected_components(Volume(mask.astype(np.uint8), spacing), 6)[0]
+    return connected_components(Volume(mask.astype(np.uint8), spacing))[0]
 
 
 def ball(r):

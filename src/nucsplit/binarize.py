@@ -109,8 +109,11 @@ def binarize(
     """Binarize per slab group; returns the 0/1 mask and per-group results.
 
     Groups write disjoint z ranges, so the result does not depend on
-    ``threads``.
+    ``threads``. A float volume with a NaN or infinite sample is rejected.
     """
+    if v.data.dtype.kind == "f" and not np.isfinite(v.data).all():
+        nan, inf = int(np.isnan(v.data).sum()), int(np.isinf(v.data).sum())
+        raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
     ranges = slab_ranges(v.data.shape[0], cfg.slabs)
     mask = np.empty(v.data.shape, dtype=np.uint8)
 

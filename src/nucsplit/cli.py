@@ -110,8 +110,6 @@ def load_pipeline_config(
         for key in ("v_min", "v_max"):
             if key not in model_raw:
                 raise ValueError(f"config field 'model.{key}' is required")
-        # the repartition rule shares the partitioner's imbalance tolerance
-        model_raw.setdefault("imbalance", part_raw.get("imbalance", PartitionerConfig().imbalance))
         model = NucleusModelParams(**model_raw)
     return PipelineConfig(
         binarization=BinarizationConfig(**bin_raw),

@@ -126,7 +126,7 @@ def _calibrate(w0, unit, rho):
     return w
 
 
-def cut_metric_weights(spacing, neighborhood: int = 26, n_samples: int = _SAMPLES) -> CutMetricWeights:
+def cut_metric_weights(spacing, neighborhood: int = 26) -> CutMetricWeights:
     """Compute (and cache) cut-metric weights for a spacing.
 
     ``neighborhood=6`` restricts the direction set to the axes and skips the
@@ -137,7 +137,7 @@ def cut_metric_weights(spacing, neighborhood: int = 26, n_samples: int = _SAMPLE
     spacing = (float(spacing[0]), float(spacing[1]), float(spacing[2]))
     if min(spacing) <= 0:
         raise ValueError(f"spacing components must be > 0, got {spacing}")
-    key = (spacing, neighborhood, n_samples)
+    key = (spacing, neighborhood)
     if key in _weights_cache:
         return _weights_cache[key]
     if neighborhood == 26:
@@ -146,7 +146,7 @@ def cut_metric_weights(spacing, neighborhood: int = 26, n_samples: int = _SAMPLE
         directions = DIRECTIONS_6
     else:
         raise ValueError(f"neighborhood must be 6 or 26, got {neighborhood}")
-    fractions = voronoi_fractions(directions, spacing, n_samples)
+    fractions = voronoi_fractions(directions, spacing)
     half = directions[: len(directions) // 2]
     phys = half.astype(np.float64) * spacing
     step = np.linalg.norm(phys, axis=1)
@@ -160,22 +160,13 @@ def cut_metric_weights(spacing, neighborhood: int = 26, n_samples: int = _SAMPLE
     return w
 
 
-def _check_bounds(c: Component, bounds) -> None:
-    if bounds is None:
-        return
-    sx, sy, sz = bounds
-    lo, hi = c.bounding_box()
-    if (lo < 0).any() or hi[0] >= sx or hi[1] >= sy or hi[2] >= sz:
-        raise ValueError("component exceeds bounds")
-
-
-def surface_area(c: Component, w: CutMetricWeights, bounds=None) -> float:
+def surface_area(c: Component, w: CutMetricWeights) -> float:
     """Weighted count of 26-adjacent (inside, outside) voxel pairs.
 
-    Each unordered pair is counted once.  Voxels beyond the volume bounds
-    count as outside, so clipped components still get a closed boundary.
+    Each unordered pair is counted once.  Every voxel outside the component
+    counts as outside, also beyond the volume border, so components that
+    touch the border still get a closed boundary.
     """
-    _check_bounds(c, bounds)
     box, _ = paint_component(c, pad=1)
     inner = box[1:-1, 1:-1, 1:-1]
     s0, s1, s2 = box.shape
@@ -194,11 +185,11 @@ def volume_of(c: Component, spacing) -> float:
     return len(c) * float(dx) * float(dy) * float(dz)
 
 
-def sphericity(c: Component, w: CutMetricWeights, spacing, bounds=None) -> float:
+def sphericity(c: Component, w: CutMetricWeights, spacing) -> float:
     """Ratio of the area of the equal-volume sphere to the component's area:
 
         Psi = pi^(1/3) * (6 V)^(2/3) / A
     """
     v = volume_of(c, spacing)
-    a = surface_area(c, w, bounds)
+    a = surface_area(c, w)
     return math.pi ** (1.0 / 3.0) * (6.0 * v) ** (2.0 / 3.0) / a

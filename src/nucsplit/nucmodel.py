@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import CutMetricWeights, sphericity, volume_of
 from .volume import Component
@@ -39,7 +39,6 @@ class NucleusModelParams:
     shoulder: float = 0.2
     psi_min: float = 0.81
     psi_ideal: float = 0.96
-    imbalance: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.v_min < self.v_max) or not math.isfinite(self.v_max):
@@ -48,20 +47,12 @@ class NucleusModelParams:
             raise ValueError("shoulder fraction must lie in (0, 0.5)")
         if not 0.0 < self.psi_min < self.psi_ideal <= 1.0:
             raise ValueError("need 0 < psi_min < psi_ideal <= 1")
-        if self.imbalance < 0.0:
-            raise ValueError("imbalance must be >= 0")
 
     @property
     def volume_knots(self) -> Tuple[float, float, float, float]:
         a = self.v_min
         d = self.v_max
         return (a, (1.0 + self.shoulder) * a, (1.0 - self.shoulder) * d, d)
-
-    @property
-    def v_repart(self) -> float:
-        """Smallest parent volume whose larger balanced-split child can
-        still reach v_min: the larger side holds at most (1+eps)/2 of it."""
-        return 2.0 * self.v_min / (1.0 + self.imbalance)
 
 
 class Decision(enum.Enum):
@@ -73,15 +64,26 @@ class Decision(enum.Enum):
 class ScoredDecision(NamedTuple):
     decision: Decision
     score: float
+    psi: Optional[float]  # None when the volume alone decided
 
 
 @dataclass(frozen=True)
 class ScoreContext:
-    """Everything score_function needs beyond the component itself."""
+    """Everything score_function needs beyond the component itself.
+
+    ``imbalance`` is the partitioner's balance tolerance eps.
+    """
 
     spacing: Tuple[float, float, float]
     weights: CutMetricWeights
     params: NucleusModelParams
+    imbalance: float
+
+    @property
+    def v_repart(self) -> float:
+        """Smallest parent volume whose larger balanced-split child can
+        still reach v_min: the larger side holds at most (1+eps)/2 of it."""
+        return 2.0 * self.params.v_min / (1.0 + self.imbalance)
 
 
 def trapezoid(x: float, theta: Sequence[float]) -> float:
@@ -141,13 +143,13 @@ def score_function(c: Component, s_parent: float, ctx: ScoreContext) -> ScoredDe
     params = ctx.params
     volume = volume_of(c, ctx.spacing)
     if volume < params.v_min:
-        return ScoredDecision(Decision.DISCARD, 0.0)
+        return ScoredDecision(Decision.DISCARD, 0.0, None)
     psi = sphericity(c, ctx.weights, ctx.spacing)
     s = component_score(volume, psi, params)
     if s > 0.5:
-        return ScoredDecision(Decision.KEEP, s)
-    if volume >= params.v_repart:
-        return ScoredDecision(Decision.REPARTITION, s)
+        return ScoredDecision(Decision.KEEP, s, psi)
+    if volume >= ctx.v_repart:
+        return ScoredDecision(Decision.REPARTITION, s, psi)
     if outscores_parent(s, s_parent):
-        return ScoredDecision(Decision.KEEP, s)
-    return ScoredDecision(Decision.DISCARD, s)
+        return ScoredDecision(Decision.KEEP, s, psi)
+    return ScoredDecision(Decision.DISCARD, s, psi)

@@ -28,21 +28,18 @@ __all__ = [
     "split_blocks",
 ]
 
+COARSEN_FLOOR = 40  # coarsening stops at this many nodes
+FM_PASSES = 10  # most FM passes per level
+
 
 @dataclass(frozen=True)
 class PartitionerConfig:
     imbalance: float = 0.5
     seed: int = 0
-    coarsen_floor: int = 40
-    fm_passes: int = 10
 
     def __post_init__(self):
         if not self.imbalance > 0:
             raise ValueError("imbalance must be > 0")
-        if self.coarsen_floor < 2:
-            raise ValueError("coarsen_floor must be >= 2")
-        if self.fm_passes < 0:
-            raise ValueError("fm_passes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -290,10 +287,10 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     return best_cut, w0_hist[best_len], best_len > 0
 
 
-def _fm_refine(lv: _Level, side: np.ndarray, cfg: PartitionerConfig, total_w: int, max_side_w: int):
+def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int):
     w0 = int(lv.node_w[side == 0].sum())
     stall_limit = max(200, lv.n // 50)
-    for _ in range(cfg.fm_passes):
+    for _ in range(FM_PASSES):
         cut = _cut_of(lv, side)
         new_cut, w0, changed = _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut)
         if not changed or new_cut >= cut - 1e-12:
@@ -317,7 +314,7 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
     cap = max(2, int(cfg.imbalance * ceil_half))
 
     levels = [base]
-    while levels[-1].n > max(cfg.coarsen_floor, 2):
+    while levels[-1].n > COARSEN_FLOOR:
         lv = levels[-1]
         mate, pairs = _match_level(lv, cap, rng)
         if pairs == 0 or lv.n - pairs > 0.95 * lv.n:
@@ -330,13 +327,13 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
     for start in _start_candidates(coarsest):
         for policy in (0, 1):
             cand = _grow_initial(coarsest, ceil_half, start, policy)
-            _fm_refine(coarsest, cand, cfg, n, max_side_w)
+            _fm_refine(coarsest, cand, n, max_side_w)
             cut = _cut_of(coarsest, cand)
             if cut < best_cut - 1e-12:
                 side, best_cut = cand, cut
     for lv in reversed(levels[:-1]):
         side = side[lv.cmap]
-        _fm_refine(lv, side, cfg, n, max_side_w)
+        _fm_refine(lv, side, n, max_side_w)
 
     n0 = int((side == 0).sum())
     n1 = n - n0
@@ -348,8 +345,8 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
 def split_blocks(c: Component, b: Bipartition) -> List[Component]:
     """Decompose the two blocks into 6-connected components.
 
-    Returned components are ordered by their first voxel in scan order
-    and renumbered 1..k; their union is exactly the input component.
+    Returned components are ordered by their first voxel in scan order;
+    their union is exactly the input component.
     """
     if len(b.side) != len(c.coords):
         raise ValueError("bipartition does not cover the component")
@@ -358,9 +355,9 @@ def split_blocks(c: Component, b: Bipartition) -> List[Component]:
         sub = c.coords[b.side == s]
         if len(sub) == 0:
             continue
-        box, origin = paint_component(Component(id=1, coords=sub))
-        labels, n_lab = label_mask(Volume(box.astype(np.uint8)), 6)
+        box, origin = paint_component(Component(sub))
+        labels, n_lab = label_mask(Volume(box.astype(np.uint8)))
         for comp in components_from_labels(labels, n_lab):
             found.append(comp.coords + origin)
     found.sort(key=lambda a: (int(a[0, 2]), int(a[0, 1]), int(a[0, 0])))
-    return [Component(id=i + 1, coords=coords) for i, coords in enumerate(found)]
+    return [Component(coords) for coords in found]

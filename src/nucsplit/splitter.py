@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .binarize import BinarizationConfig, SlabResult, binarize
-from .geometry import CutMetricWeights, cut_metric_weights, sphericity, volume_of
+from .geometry import cut_metric_weights, volume_of
 from .graphbuild import EdgeWeightConfig, build_graph
 from .histmodel import HistogramModel
 from .nucmodel import Decision, NucleusModelParams, ScoreContext, score_function
@@ -37,6 +37,10 @@ class SplitContext:
     edge_cfg: EdgeWeightConfig = EdgeWeightConfig()
     part_cfg: PartitionerConfig = PartitionerConfig()
     model: Optional[HistogramModel] = None
+
+    def __post_init__(self):
+        if self.score_ctx.imbalance != self.part_cfg.imbalance:
+            raise ValueError("the repartition gate and the partitioner need the same imbalance")
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def _process(c: Component, s_parent: float, ctx: SplitContext, depth: int, max_d
     if scored.decision is Decision.DISCARD:
         return []
     if scored.decision is Decision.KEEP:
-        return [(c, scored.score)]
+        return [(c, scored.score, scored.psi)]
 
     # repartition; single voxels cannot be cut and fall back to leaf scoring
     kept = []
@@ -79,16 +83,16 @@ def _process(c: Component, s_parent: float, ctx: SplitContext, depth: int, max_d
                 kept.extend(_process(child, scored.score, ctx, depth + 1, max_depth))
     if kept:
         return kept
-    return [(c, scored.score)] if scored.score > 0 else []
+    return [(c, scored.score, scored.psi)] if scored.score > 0 else []
 
 
-def recursive_split(c: Component, ctx: SplitContext) -> List[Tuple[Component, float]]:
+def recursive_split(c: Component, ctx: SplitContext) -> List[Tuple[Component, float, float]]:
     """Depth-first split of one foreground component.
 
-    Returns the kept leaf components with their scores. The top of the
-    recursion has no parent, so the parent score starts at zero and the
-    first decision is driven purely by the component's own volume and
-    shape.
+    Returns the kept leaf components with their scores and sphericities.
+    The top of the recursion has no parent, so the parent score starts at
+    zero and the first decision is driven purely by the component's own
+    volume and shape.
     """
     max_depth = _depth_bound(len(c), ctx.part_cfg.imbalance)
     return _process(c, 0.0, ctx, 0, max_depth)
@@ -121,13 +125,17 @@ def segment(
 ) -> SegmentationResult:
     """Binarize, split every foreground component, and assemble labels."""
     mask, slabs = binarize(v, bin_cfg, threads=threads)
-    comps = connected_components(mask, connectivity=6)
+    comps = connected_components(mask)
 
-    weights = cut_metric_weights(v.spacing)
-    score_ctx = ScoreContext(spacing=v.spacing, weights=weights, params=params)
+    score_ctx = ScoreContext(
+        spacing=v.spacing,
+        weights=cut_metric_weights(v.spacing),
+        params=params,
+        imbalance=part_cfg.imbalance,
+    )
     guide = gaussian_smooth(v, bin_cfg.sigma_smooth)
 
-    kept: List[Tuple[Component, float]] = []
+    kept: List[Tuple[Component, float, float]] = []
     for comp in comps:
         model = _model_for(comp, slabs)
         if edge_cfg.scheme == "prob" and model is None:
@@ -147,7 +155,7 @@ def segment(
 
     labels = np.zeros(v.data.shape, dtype=np.uint32)
     objects = []
-    for new_id, (comp, score) in enumerate(kept, start=1):
+    for new_id, (comp, score, psi) in enumerate(kept, start=1):
         x, y, z = comp.coords[:, 0], comp.coords[:, 1], comp.coords[:, 2]
         labels[z, y, x] = new_id
         objects.append(
@@ -155,7 +163,7 @@ def segment(
                 "id": new_id,
                 "voxel_count": len(comp),
                 "volume": volume_of(comp, v.spacing),
-                "sphericity": sphericity(comp, weights, v.spacing),
+                "sphericity": psi,
                 "score": score,
             }
         )

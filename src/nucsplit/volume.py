@@ -88,7 +88,6 @@ class Component:
     x-fastest scan order.
     """
 
-    id: int
     coords: np.ndarray
 
     def __post_init__(self):
@@ -137,11 +136,10 @@ def _unpack_flat(flat_idx: np.ndarray, sx: int, sy: int) -> np.ndarray:
     return np.stack([x, y, z], axis=1).astype(np.int32)
 
 
-def label_mask(mask: Volume, connectivity: int = 6) -> tuple[np.ndarray, int]:
-    """Label a binary volume; ids are 1..n in scan order of each component's first voxel."""
-    if connectivity not in (6, 26):
-        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-    structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
+def label_mask(mask: Volume) -> tuple[np.ndarray, int]:
+    """Label the 6-connected pieces of a binary volume; ids are 1..n in scan
+    order of each piece's first voxel."""
+    structure = ndimage.generate_binary_structure(3, 1)
     lab, n = ndimage.label(mask.data != 0, structure=structure)
     if n > 1:
         # scipy happens to number in scan order already; pin it down regardless
@@ -156,25 +154,20 @@ def label_mask(mask: Volume, connectivity: int = 6) -> tuple[np.ndarray, int]:
 
 
 def components_from_labels(labels: np.ndarray, n: int) -> list[Component]:
-    sz, sy, sx = labels.shape
+    _, sy, sx = labels.shape
     flat = labels.ravel()
     nz = np.flatnonzero(flat)
-    if len(nz) == 0:
-        return []
     order = np.argsort(flat[nz], kind="stable")  # groups by label, scan order within
     nz = nz[order]
     vals = flat[nz]
     starts = np.searchsorted(vals, np.arange(1, n + 2))
-    out = []
-    for cid in range(1, n + 1):
-        seg = nz[starts[cid - 1] : starts[cid]]
-        out.append(Component(id=cid, coords=_unpack_flat(seg, sx, sy)))
-    return out
+    return [Component(_unpack_flat(nz[starts[i] : starts[i + 1]], sx, sy)) for i in range(n)]
 
 
-def connected_components(mask: Volume, connectivity: int = 6) -> list[Component]:
-    """Split the foreground of a binary volume into maximal connected sets."""
-    labels, n = label_mask(mask, connectivity)
+def connected_components(mask: Volume) -> list[Component]:
+    """Split the foreground of a binary volume into maximal 6-connected
+    sets, listed in scan order of their first voxels."""
+    labels, n = label_mask(mask)
     return components_from_labels(labels, n)
 
 

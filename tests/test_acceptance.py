@@ -56,7 +56,7 @@ def digitized_ball(r):
     g = np.arange(-r, r + 1)
     zz, yy, xx = np.meshgrid(g, g, g, indexing="ij")
     mask = xx * xx + yy * yy + zz * zz <= r * r
-    comps = connected_components(Volume(mask.astype(np.uint8)), 6)
+    comps = connected_components(Volume(mask.astype(np.uint8)))
     assert len(comps) == 1
     return comps[0]
 
@@ -79,7 +79,7 @@ def test_criterion_1_sphere_area():
 
 def test_criterion_2_cube_sphericity():
     side = np.ones((20, 20, 20), dtype=np.uint8)
-    c = connected_components(Volume(side), 6)[0]
+    c = connected_components(Volume(side))[0]
     w = cut_metric_weights((1.0, 1.0, 1.0))
     psi = sphericity(c, w, (1.0, 1.0, 1.0))
     target = (math.pi / 6.0) ** (1.0 / 3.0)
@@ -234,7 +234,7 @@ def test_criterion_6_dumbbell_bridge():
     zz, yy, xx = np.meshgrid(g, g, g, indexing="ij")
     mask = (xx**2 + yy**2 + zz**2 <= r * r) | ((xx - cx) ** 2 + yy**2 + zz**2 <= r * r)
     mask |= (np.abs(yy) + np.abs(zz) == 0) & (xx >= 0) & (xx <= cx)  # 1-voxel bridge
-    comps = connected_components(Volume(mask.astype(np.uint8)), 6)
+    comps = connected_components(Volume(mask.astype(np.uint8)))
     assert len(comps) == 1
     c = comps[0]
     guide = Volume(np.where(mask, 200, 20).astype(np.uint8))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -154,6 +156,24 @@ def test_negative_values_rejected():
     v = Volume(np.full((2, 4, 4), -5.0, dtype=np.float32))
     with pytest.raises(ValueError):
         binarize(v)
+
+
+@pytest.mark.parametrize(
+    "bad, counts", [(np.nan, "1 NaN and 0 infinite"), (np.inf, "0 NaN and 1 infinite")]
+)
+def test_non_finite_values_rejected_by_name(bad, counts):
+    from nucsplit.nucmodel import NucleusModelParams
+    from nucsplit.splitter import segment
+
+    data = np.full((4, 8, 8), 10.0, dtype=np.float32)
+    data[1, 2, 3] = bad
+    v = Volume(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way to the error
+        with pytest.raises(ValueError, match=f"non-finite values: {counts}"):
+            binarize(v, BinarizationConfig(sigma_smooth=1.0))
+        with pytest.raises(ValueError, match=f"non-finite values: {counts}"):
+            segment(v, NucleusModelParams(v_min=10.0, v_max=100.0))
 
 
 def test_slab_result_serializable():

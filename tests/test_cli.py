@@ -286,3 +286,66 @@ def test_segment_constant_volume_finds_nothing(tmp_path, pipeline_cfg, capsys):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["objects"] == 0
     assert not read_rvol(tmp_path / "labels.rvol").data.any()
+
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("model", "imbalance"), ("partition", "coarsen_floor"), ("partition", "fm_passes")],
+)
+def test_removed_config_fields_exit_2(tmp_path, pipeline_cfg, section, key, capsys):
+    raw = json.loads(pipeline_cfg.read_text())
+    raw[section][key] = 1
+    cfg = tmp_path / "removed.json"
+    cfg.write_text(json.dumps(raw))
+    vol = tmp_path / "v.rvol"
+    write_rvol(vol, Volume(np.full((4, 8, 8), 37, dtype=np.uint16)))
+    out = str(tmp_path / "l.rvol")
+    rc = cli_main(["segment", "--in", str(vol), "--config", str(cfg), "--out", out])
+    assert rc == 2
+    assert f"unknown config field '{section}.{key}'" in capsys.readouterr().err
+
+
+def test_segment_echoes_exactly_the_config_fields(tmp_path, scene_cfg, pipeline_cfg, capsys):
+    out = synth(tmp_path, scene_cfg, capsys)
+    report = tmp_path / "objects.jsonl"
+    rc = cli_main(
+        [
+            "segment",
+            "--in",
+            out["outputs"]["intensity"],
+            "--config",
+            str(pipeline_cfg),
+            "--out",
+            str(tmp_path / "l.rvol"),
+            "--report",
+            str(report),
+            "--imbalance",
+            "0.3",
+        ]
+    )
+    assert rc == 0
+    config = json.loads(report.read_text().splitlines()[0])["config"]
+    assert {name: sorted(fields) for name, fields in config.items()} == {
+        "binarization": ["method", "sigma_smooth", "slabs"],
+        "weights": ["scheme", "sigma_grad"],
+        "partition": ["imbalance", "seed"],
+        "model": ["psi_ideal", "psi_min", "shoulder", "v_max", "v_min"],
+    }
+    assert config["partition"]["imbalance"] == 0.3
+
+
+@pytest.mark.parametrize(
+    "bad, counts", [(np.nan, "1 NaN and 0 infinite"), (np.inf, "0 NaN and 1 infinite")]
+)
+@pytest.mark.parametrize("command", ["binarize", "segment"])
+def test_non_finite_input_exits_2(tmp_path, pipeline_cfg, bad, counts, command, capsys):
+    data = np.full((4, 8, 8), 10.0, dtype=np.float32)
+    data[1, 2, 3] = bad
+    vol = tmp_path / "v.rvol"
+    write_rvol(vol, Volume(data))
+    out = str(tmp_path / "o.rvol")
+    rc = cli_main([command, "--in", str(vol), "--config", str(pipeline_cfg), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"non-finite values: {counts}" in err

@@ -17,7 +17,7 @@ from nucsplit.volume import Component
 
 def comp_of(mask):
     zz, yy, xx = np.nonzero(mask)
-    return Component(id=1, coords=np.stack([xx, yy, zz], axis=1).astype(np.int32))
+    return Component(np.stack([xx, yy, zz], axis=1).astype(np.int32))
 
 
 def ball_comp(r, dilated=False):
@@ -109,7 +109,7 @@ def test_weight_lookup_both_signs():
     rng = np.random.default_rng(17)
     mask = rng.random((6, 7, 8)) < 0.5
     c = comp_of(mask)
-    reflected = Component(1, (20 - c.coords).astype(np.int32))
+    reflected = Component((20 - c.coords).astype(np.int32))
     for spacing in ((1.0, 1.0, 1.0), (0.5, 1.0, 3.0)):
         w = cut_metric_weights(spacing)
         assert surface_area(reflected, w) == surface_area(c, w)
@@ -117,8 +117,8 @@ def test_weight_lookup_both_signs():
 
 def test_single_voxel_area_translation_invariant():
     w = cut_metric_weights((1.0, 1.0, 1.0))
-    a0 = surface_area(Component(1, np.array([[0, 0, 0]], dtype=np.int32)), w)
-    a1 = surface_area(Component(1, np.array([[40, 7, 19]], dtype=np.int32)), w)
+    a0 = surface_area(Component(np.array([[0, 0, 0]], dtype=np.int32)), w)
+    a1 = surface_area(Component(np.array([[40, 7, 19]], dtype=np.int32)), w)
     assert a0 == a1 == pytest.approx(2 * w.omega.sum())
     assert a0 > 0
 
@@ -169,9 +169,9 @@ def test_ball_error_non_increasing_with_radius():
 
 
 def test_volume_of():
-    c = Component(1, np.arange(300, dtype=np.int32).reshape(100, 3) % 7)
+    c = Component(np.arange(300, dtype=np.int32).reshape(100, 3) % 7)
     assert volume_of(c, (1.0, 1.0, 5.0)) == pytest.approx(500.0)
-    single = Component(1, np.array([[3, 2, 1]], dtype=np.int32))
+    single = Component(np.array([[3, 2, 1]], dtype=np.int32))
     assert volume_of(single, (1.0, 1.0, 1.0)) == 1.0
 
 
@@ -191,21 +191,20 @@ def test_area_invariances():
     mask = blob > np.quantile(blob, 0.75)
     c = comp_of(mask)
     base = surface_area(c, w)
-    shifted = Component(1, c.coords + np.array([5, 9, 2], dtype=np.int32))
+    shifted = Component(c.coords + np.array([5, 9, 2], dtype=np.int32))
     assert surface_area(shifted, w) == pytest.approx(base)
     # directional weights are only permutation-symmetric up to lattice noise
-    permuted = Component(1, c.coords[:, [2, 0, 1]])
+    permuted = Component(c.coords[:, [2, 0, 1]])
     assert surface_area(permuted, w) == pytest.approx(base, rel=1e-5)
 
 
 def test_clipped_component_keeps_closed_boundary():
+    # a cube that fills its whole 8^3 volume touches every border; voxels
+    # beyond the border count as outside, so it measures like a cube inside
     w = cut_metric_weights((1.0, 1.0, 1.0))
-    cube = comp_of(np.ones((8, 8, 8), dtype=bool))
-    free = surface_area(cube, w)
-    at_corner = surface_area(cube, w, bounds=(8, 8, 8))
-    assert at_corner == pytest.approx(free)
-    with pytest.raises(ValueError):
-        surface_area(cube, w, bounds=(7, 8, 8))
+    at_corner = comp_of(np.ones((8, 8, 8), dtype=bool))
+    inside = Component(at_corner.coords + 5)
+    assert surface_area(at_corner, w) == pytest.approx(surface_area(inside, w))
 
 
 def test_sphericity_bounded_for_smooth_components():

@@ -11,7 +11,7 @@ from oracles import cut_weight, edge_arrays
 
 
 def comps_of(mask, spacing=(1.0, 1.0, 1.0)):
-    return connected_components(Volume(mask.astype(np.uint8), spacing), 6)
+    return connected_components(Volume(mask.astype(np.uint8), spacing))
 
 
 def solid_volume(shape_zyx, spacing=(1.0, 1.0, 1.0), fill=100.0):
@@ -186,4 +186,4 @@ def test_cut_weight_against_direct_sum():
 
 def test_empty_component_rejected():
     with pytest.raises(ValueError):
-        Component(1, np.empty((0, 3), dtype=np.int32))
+        Component(np.empty((0, 3), dtype=np.int32))

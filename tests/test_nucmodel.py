@@ -19,7 +19,7 @@ SPACING = (1.0, 1.0, 1.0)
 
 def comp_of(mask):
     zz, yy, xx = np.nonzero(mask)
-    return Component(id=1, coords=np.stack([xx, yy, zz], axis=1).astype(np.int32))
+    return Component(np.stack([xx, yy, zz], axis=1).astype(np.int32))
 
 
 def ball_comp(r):
@@ -34,8 +34,8 @@ def fused_comp(r=10, gap=17):
     return comp_of((xx**2 + yy**2 + zz**2 <= r * r) | ((xx - gap) ** 2 + yy**2 + zz**2 <= r * r))
 
 
-def ctx_for(params):
-    return ScoreContext(SPACING, cut_metric_weights(SPACING), params)
+def ctx_for(params, imbalance=0.5):
+    return ScoreContext(SPACING, cut_metric_weights(SPACING), params, imbalance)
 
 
 def test_trapezoid_basic():
@@ -97,8 +97,8 @@ def test_params_validation_and_derived():
         NucleusModelParams(1.0, 2.0, psi_min=0.97)
     p = NucleusModelParams(300.0, 900.0)
     assert p.volume_knots == (300.0, 360.0, 720.0, 900.0)
-    assert p.v_repart == pytest.approx(400.0)
-    assert NucleusModelParams(300.0, 900.0, imbalance=1.0).v_repart == pytest.approx(300.0)
+    assert ctx_for(p).v_repart == pytest.approx(400.0)
+    assert ctx_for(p, imbalance=1.0).v_repart == pytest.approx(300.0)
 
 
 def test_parent_above_half_always_wins():
@@ -116,9 +116,10 @@ def test_score_function_confident_keep():
     ball = ball_comp(10)
     v = volume_of(ball, SPACING)
     params = NucleusModelParams(v / 1.6, 3.0 * v)
-    dec = score_function(ball, 0.9, ctx_for(params))
+    ctx = ctx_for(params)
+    dec = score_function(ball, 0.9, ctx)
     # high score keeps even though v >= v_repart and the parent is strong
-    assert v >= params.v_repart
+    assert v >= ctx.v_repart
     assert dec.decision is Decision.KEEP
     assert dec.score > 0.5
 
@@ -126,7 +127,7 @@ def test_score_function_confident_keep():
 def test_score_function_volume_floor():
     tiny = ball_comp(3)
     params = NucleusModelParams(1000.0, 5000.0)
-    assert score_function(tiny, 0.0, ctx_for(params)) == (Decision.DISCARD, 0.0)
+    assert score_function(tiny, 0.0, ctx_for(params)) == (Decision.DISCARD, 0.0, None)
 
 
 def test_score_function_parent_comparison():
@@ -137,10 +138,10 @@ def test_score_function_parent_comparison():
     psi = sphericity(ball, ctx.weights, SPACING)
     expected = component_score(v, psi, params)
     assert 0.0 < expected <= 0.5
-    assert v < params.v_repart
+    assert v < ctx.v_repart
 
     kept = score_function(ball, 0.0, ctx)
-    assert kept == (Decision.KEEP, pytest.approx(expected))
+    assert kept == (Decision.KEEP, pytest.approx(expected), psi)
     # mirrors the worked case of a 0.46 parent shedding weak children
     dropped = score_function(ball, 0.46, ctx)
     assert dropped.decision is Decision.DISCARD
@@ -158,6 +159,7 @@ def test_score_function_repartition_gate():
     dec = score_function(fused, 0.0, ctx)
     assert dec.decision is Decision.REPARTITION
     assert dec.score == pytest.approx(s)
+    assert dec.psi == psi
 
 
 def test_score_function_region_boundaries():
@@ -168,10 +170,11 @@ def test_score_function_region_boundaries():
     weights = cut_metric_weights(SPACING)
     for ratio in np.linspace(0.7, 1.8, 23):
         params = NucleusModelParams(v / ratio, 50.0 * v)
-        dec = score_function(fused, 0.3, ScoreContext(SPACING, weights, params))
+        ctx = ScoreContext(SPACING, weights, params, 0.5)
+        dec = score_function(fused, 0.3, ctx)
         if v < params.v_min:
-            assert dec == (Decision.DISCARD, 0.0)
-        elif v >= params.v_repart:
+            assert dec == (Decision.DISCARD, 0.0, None)
+        elif v >= ctx.v_repart:
             assert dec.decision is Decision.REPARTITION
         else:
             assert dec.decision in (Decision.KEEP, Decision.DISCARD)
@@ -183,7 +186,7 @@ def test_score_function_translation_invariant():
     v = volume_of(fused, SPACING)
     params = NucleusModelParams(v / 3.0, v * 1.1)
     ctx = ctx_for(params)
-    moved = Component(7, fused.coords + np.array([13, 4, 21], dtype=np.int32))
+    moved = Component(fused.coords + np.array([13, 4, 21], dtype=np.int32))
     assert score_function(fused, 0.2, ctx) == score_function(moved, 0.2, ctx)
 
 

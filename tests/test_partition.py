@@ -52,7 +52,7 @@ def balls_with_bridge(r, gap):
     mask = (xx**2 + yy**2 + zz**2 <= r * r) | ((xx - cx) ** 2 + yy**2 + zz**2 <= r * r)
     mask |= (np.abs(yy) + np.abs(zz) == 0) & (xx >= 0) & (xx <= cx)
     v = Volume(mask.astype(np.uint8))
-    comps = connected_components(v, 6)
+    comps = connected_components(v)
     assert len(comps) == 1
     return comps[0], Volume(np.zeros(mask.shape, np.uint8))
 
@@ -60,8 +60,6 @@ def balls_with_bridge(r, gap):
 def test_config_and_type_validation():
     with pytest.raises(ValueError):
         PartitionerConfig(imbalance=0.0)
-    with pytest.raises(ValueError):
-        PartitionerConfig(coarsen_floor=1)
     with pytest.raises(ValueError):
         Bipartition(np.zeros(4, np.uint8), 1.0, (4, 0))
     with pytest.raises(ValueError):
@@ -152,7 +150,7 @@ def test_multilevel_on_grid_graph():
     """A 12x12x4 voxel grid forces several coarsening levels; the result
     must stay balanced, deterministic, and no worse than a naive slab cut."""
     v = Volume(np.ones((4, 12, 12), dtype=np.uint8), (1.0, 1.0, 1.0))
-    comp = connected_components(v, 6)[0]
+    comp = connected_components(v)[0]
     g = build_graph(comp, v, cfg=EdgeWeightConfig("const"))
     b1 = bipartition(g, PartitionerConfig(seed=1))
     b2 = bipartition(g, PartitionerConfig(seed=1))
@@ -175,11 +173,11 @@ def test_dumbbell_bridge_severed():
 
 def test_split_blocks_two_connected():
     coords = np.array([[x, 0, 0] for x in range(6)], dtype=np.int32)
-    c = Component(1, coords)
+    c = Component(coords)
     b = Bipartition(np.array([0, 0, 0, 1, 1, 1], np.uint8), 1.0, (3, 3))
     blocks = split_blocks(c, b)
     assert [len(x) for x in blocks] == [3, 3]
-    assert [x.id for x in blocks] == [1, 2]
+    assert [tuple(x.coords[0]) for x in blocks] == [(0, 0, 0), (3, 0, 0)]  # scan order
     got = np.concatenate([x.coords for x in blocks])
     assert set(map(tuple, got.tolist())) == set(map(tuple, coords.tolist()))
 
@@ -187,24 +185,23 @@ def test_split_blocks_two_connected():
 def test_split_blocks_disconnected_block():
     # three blobs on a line; middle goes to block 0, outer pair to block 1
     coords = np.array([[x, 0, 0] for x in range(9)], dtype=np.int32)
-    c = Component(1, coords)
+    c = Component(coords)
     side = np.array([1, 1, 1, 0, 0, 0, 1, 1, 1], np.uint8)
     blocks = split_blocks(c, Bipartition(side, 2.0, (3, 6)))
     assert len(blocks) == 3
-    assert [x.id for x in blocks] == [1, 2, 3]
     firsts = [tuple(x.coords[0]) for x in blocks]
     assert firsts == [(0, 0, 0), (3, 0, 0), (6, 0, 0)]  # scan order
 
 
 def test_split_blocks_single_voxel_block():
     coords = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=np.int32)
-    c = Component(1, coords)
+    c = Component(coords)
     blocks = split_blocks(c, Bipartition(np.array([0, 0, 1], np.uint8), 1.0, (2, 1)))
     assert [len(x) for x in blocks] == [2, 1]
 
 
 def test_split_blocks_coverage_check():
-    c = Component(1, np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int32))
+    c = Component(np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int32))
     with pytest.raises(ValueError):
         split_blocks(c, Bipartition(np.array([0, 1, 1], np.uint8), 0.0, (1, 2)))
 

@@ -5,7 +5,7 @@ import pytest
 
 from nucsplit.binarize import BinarizationConfig, SlabResult, binarize
 from nucsplit.evaluate import evaluate
-from nucsplit.geometry import cut_metric_weights
+from nucsplit.geometry import cut_metric_weights, sphericity
 from nucsplit.graphbuild import EdgeWeightConfig
 from nucsplit.nucmodel import NucleusModelParams, ScoreContext
 from nucsplit.partition import PartitionerConfig
@@ -27,19 +27,21 @@ def fused_balls(shape_zyx=(32, 32, 40), r=8, gap=15):
 
 
 def single_component(mask, spacing=(1.0, 1.0, 1.0)):
-    comps = connected_components(Volume(mask.astype(np.uint8), spacing), connectivity=6)
+    comps = connected_components(Volume(mask.astype(np.uint8), spacing))
     assert len(comps) == 1
     return comps[0]
 
 
 def make_ctx(mask, params, spacing=(1.0, 1.0, 1.0), seed=0):
     intensity = Volume(np.where(mask, 200, 20).astype(np.uint8), spacing)
-    score_ctx = ScoreContext(spacing=spacing, weights=cut_metric_weights(spacing), params=params)
-    return SplitContext(
-        volume=intensity,
-        score_ctx=score_ctx,
-        part_cfg=PartitionerConfig(seed=seed),
+    part_cfg = PartitionerConfig(seed=seed)
+    score_ctx = ScoreContext(
+        spacing=spacing,
+        weights=cut_metric_weights(spacing),
+        params=params,
+        imbalance=part_cfg.imbalance,
     )
+    return SplitContext(volume=intensity, score_ctx=score_ctx, part_cfg=part_cfg)
 
 
 def test_plateau_ball_kept_whole():
@@ -48,9 +50,10 @@ def test_plateau_ball_kept_whole():
     params = NucleusModelParams(v_min=2000.0, v_max=8000.0)
     kept = recursive_split(c, make_ctx(mask, params))
     assert len(kept) == 1
-    comp, score = kept[0]
+    comp, score, psi = kept[0]
     assert len(comp) == len(c)
     assert score > 0.5
+    assert psi == sphericity(c, cut_metric_weights((1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
 
 
 def test_fused_balls_yield_two_high_scores():
@@ -59,12 +62,12 @@ def test_fused_balls_yield_two_high_scores():
     params = NucleusModelParams(v_min=1200.0, v_max=4000.0)
     kept = recursive_split(c, make_ctx(mask, params))
     assert len(kept) == 2
-    sizes = sorted(len(comp) for comp, _ in kept)
+    sizes = sorted(len(comp) for comp, _, _ in kept)
     assert min(sizes) > 1800  # each side is essentially one ball
-    for _, score in kept:
+    for _, score, _ in kept:
         assert score >= 0.9
     # kept leaves are disjoint subsets of the parent
-    all_coords = np.concatenate([comp.coords for comp, _ in kept])
+    all_coords = np.concatenate([comp.coords for comp, _, _ in kept])
     assert len(np.unique(all_coords, axis=0)) == len(all_coords)
 
 
@@ -76,10 +79,11 @@ def test_backtrack_keeps_mediocre_parent():
     c = single_component(mask)
     count = len(c)
     params = NucleusModelParams(v_min=0.72 * count, v_max=1.107 * count)
-    assert params.v_repart <= count <= params.v_max
-    kept = recursive_split(c, make_ctx(mask, params))
+    ctx = make_ctx(mask, params)
+    assert ctx.score_ctx.v_repart <= count <= params.v_max
+    kept = recursive_split(c, ctx)
     assert len(kept) == 1
-    comp, score = kept[0]
+    comp, score, _ = kept[0]
     assert len(comp) == count
     assert 0.0 < score <= 0.5
 
@@ -94,6 +98,34 @@ def test_single_voxel_repartition_falls_back_to_leaf():
     kept = recursive_split(c, make_ctx(mask, params))
     assert len(kept) == 1
     assert kept[0][1] == pytest.approx(0.238, abs=0.01)
+
+
+def test_split_context_rejects_two_imbalances():
+    mask = ball_mask((12, 12, 12), (6, 6, 6), 4)
+    ctx = make_ctx(mask, NucleusModelParams(v_min=100.0, v_max=500.0))
+    with pytest.raises(ValueError, match="same imbalance"):
+        SplitContext(ctx.volume, ctx.score_ctx, part_cfg=PartitionerConfig(imbalance=0.9))
+
+
+def test_segment_gates_repartition_with_partitioner_imbalance():
+    """A big ball with a small one on a one-voxel neck, of total volume
+    between 2 v_min / 1.9 and 2 v_min / 1.5: eps = 0.9 splits it and keeps
+    the big ball, eps = 0.5 keeps the pair whole as a weak nucleus."""
+    zz, yy, xx = np.mgrid[0:20, 0:20, 0:30]
+    big = (xx - 9) ** 2 + (yy - 10) ** 2 + (zz - 10) ** 2 <= 36
+    small = (xx - 20) ** 2 + (yy - 10) ** 2 + (zz - 10) ** 2 <= 12
+    neck = (yy == 10) & (zz == 10) & (xx >= 15) & (xx <= 17)
+    mask = big | small | neck
+    intensity = Volume(np.where(mask, 200, 20).astype(np.uint8))
+    params = NucleusModelParams(v_min=0.98 * big.sum(), v_max=3.0 * big.sum())
+    assert 2.0 / 1.9 <= mask.sum() / params.v_min < 2.0 / 1.5
+
+    whole = segment(intensity, params, part_cfg=PartitionerConfig(imbalance=0.5))
+    assert [o["voxel_count"] for o in whole.objects] == [int(mask.sum())]
+    split = segment(intensity, params, part_cfg=PartitionerConfig(imbalance=0.9))
+    assert len(split.objects) == 1
+    assert big.sum() <= split.objects[0]["voxel_count"] <= (big | neck).sum()
+    assert not split.labels.data[small].any()
 
 
 def test_tiny_debris_discarded():
@@ -139,6 +171,17 @@ def test_segment_clean_scene_matches_truth():
     assert not labels[mask.data == 0].any()
 
 
+def test_segment_reports_the_sphericity_of_each_label():
+    intensity, _ = generate(SCENE)
+    result = segment(intensity, PARAMS, bin_cfg=BIN)
+    weights = cut_metric_weights(intensity.spacing)
+    labels = result.labels.data
+    for o in result.objects:
+        zz, yy, xx = np.nonzero(labels == o["id"])
+        comp = Component(np.stack([xx, yy, zz], axis=1).astype(np.int32))
+        assert o["sphericity"] == sphericity(comp, weights, intensity.spacing)
+
+
 def test_segment_report_is_json_lines():
     intensity, _ = generate(SCENE)
     result = segment(intensity, PARAMS, bin_cfg=BIN)
@@ -171,7 +214,7 @@ def test_segment_fused_pair_recovers_both():
     intensity, truth = generate(scene)
     bin_cfg = BinarizationConfig(method="otsu", sigma_smooth=1.2, slabs=1)
     mask, _ = binarize(intensity, bin_cfg)
-    assert len(connected_components(mask, connectivity=6)) == 1  # pair fused in the mask
+    assert len(connected_components(mask)) == 1  # pair fused in the mask
     params = NucleusModelParams(v_min=1500.0, v_max=4500.0)
     result = segment(intensity, params, bin_cfg=bin_cfg)
     assert len(result.objects) == 2
@@ -206,7 +249,7 @@ def test_model_for_prefers_own_slab_then_nearest():
         SlabResult(z_lo=8, z_hi=12, threshold=50, model=model(200.0)),
     ]
     def comp_at(z):
-        return Component(id=1, coords=np.array([[0, 0, z]], dtype=np.int32))
+        return Component(np.array([[0, 0, z]], dtype=np.int32))
 
     assert _model_for(comp_at(2), slabs).mu_f == 100.0
     assert _model_for(comp_at(11), slabs).mu_f == 200.0

@@ -74,7 +74,7 @@ def test_labels_consecutive_and_connected():
     assert labels.tolist() == list(range(0, 11))
     for lab in range(1, 11):
         mask = Volume((truth.data == lab).astype(np.uint8), cfg.spacing)
-        comps = connected_components(mask, connectivity=6)
+        comps = connected_components(mask)
         assert len(comps) == 1, f"label {lab} is not 6-connected"
 
 

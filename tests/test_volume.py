@@ -93,19 +93,10 @@ def test_gaussian_smooth_preserves_constant():
     assert np.allclose(out.data, 37.0, atol=1e-3)
 
 
-def brute_components(mask, connectivity):
-    """Flood fill with explicit neighbor lists, for checking the fast path."""
+def brute_components(mask):
+    """6-connected flood fill with explicit neighbor lists, for checking the fast path."""
     sz, sy, sx = mask.shape
-    if connectivity == 6:
-        offs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    else:
-        offs = [
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-            if (dx, dy, dz) != (0, 0, 0)
-        ]
+    offs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     seen = np.zeros_like(mask, dtype=bool)
     comps = []
     for z in range(sz):
@@ -133,13 +124,11 @@ def test_connected_components_against_flood_fill():
     rng = np.random.default_rng(11)
     for trial in range(12):
         mask = Volume((rng.random((6, 7, 8)) < 0.35).astype(np.uint8))
-        for connectivity in (6, 26):
-            got = connected_components(mask, connectivity)
-            want = brute_components(mask.data != 0, connectivity)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert [tuple(r) for r in g.coords] == w
-            assert [c.id for c in got] == list(range(1, len(got) + 1))
+        got = connected_components(mask)
+        want = brute_components(mask.data != 0)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):  # same list order: scan order of first voxels
+            assert [tuple(r) for r in g.coords] == w
 
 
 def test_component_ids_follow_scan_order():
@@ -164,8 +153,8 @@ def test_label_mask_matches_components():
     comps = connected_components(mask)
     assert n == len(comps)
     assert labels.dtype == np.uint32
-    for c in comps:
-        assert (labels[c.coords[:, 2], c.coords[:, 1], c.coords[:, 0]] == c.id).all()
+    for i, c in enumerate(comps, start=1):
+        assert (labels[c.coords[:, 2], c.coords[:, 1], c.coords[:, 0]] == i).all()
     assert int((labels != 0).sum()) == sum(len(c) for c in comps)
 
 
@@ -215,5 +204,5 @@ def test_rvol_header_errors(tmp_path):
 
 
 def test_component_first_flat_index():
-    c = Component(id=1, coords=np.array([[1, 2, 1], [2, 2, 1]], dtype=np.int32))
+    c = Component(np.array([[1, 2, 1], [2, 2, 1]], dtype=np.int32))
     assert c.first_flat_index((4, 3, 2)) == 1 + 4 * (2 + 3 * 1)
