@@ -4,7 +4,8 @@ Axial illumination gradients shift the gray-level statistics from slice
 to slice, so a single global threshold misses dim objects. The volume
 is split along z into contiguous slab groups that are smoothed,
 histogrammed, and thresholded independently; foreground is everything
-strictly above the group threshold.
+strictly above the group threshold. ``segment`` smooths each slab once
+(``smooth_slabs``); its thresholds and edge weights read those values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .histmodel import (
 )
 from .volume import Volume, gaussian_smooth
 
-__all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "binarize"]
+__all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "smooth_slabs", "binarize"]
 
 METHODS = ("otsu", "model_threshold")
 
@@ -79,10 +80,23 @@ def slab_ranges(sz: int, m: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _binarize_slab(v: Volume, z_lo: int, z_hi: int, cfg: BinarizationConfig):
-    slab = Volume(v.data[z_lo:z_hi], v.spacing)
-    smoothed = gaussian_smooth(slab, cfg.sigma_smooth)
-    q = np.rint(smoothed.data).astype(np.int64)
+def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
+    """Gaussian-smooth each slab group on its own with its edge slices
+    replicated, or return ``v`` when ``sigma_smooth`` is 0. A float volume
+    with a NaN or infinite sample is rejected before any smoothing."""
+    if v.data.dtype.kind == "f" and not np.isfinite(v.data).all():
+        nan, inf = int(np.isnan(v.data).sum()), int(np.isinf(v.data).sum())
+        raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
+    if cfg.sigma_smooth == 0:
+        return v
+    out = np.empty(v.data.shape, dtype=np.float32)
+    for z_lo, z_hi in slab_ranges(v.data.shape[0], cfg.slabs):
+        out[z_lo:z_hi] = gaussian_smooth(Volume(v.data[z_lo:z_hi], v.spacing), cfg.sigma_smooth).data
+    return Volume(out, v.spacing)
+
+
+def _binarize_slab(smoothed: Volume, z_lo: int, z_hi: int, cfg: BinarizationConfig):
+    q = np.rint(smoothed.data[z_lo:z_hi]).astype(np.int64)
     if q.min() < 0:
         raise ValueError("negative gray levels cannot be binarized")
     hist = Histogram.from_values(q)
@@ -108,25 +122,19 @@ def binarize(
 ) -> Tuple[Volume, List[SlabResult]]:
     """Binarize per slab group; returns the 0/1 mask and per-group results.
 
-    Groups write disjoint z ranges, so the result does not depend on
-    ``threads``. A float volume with a NaN or infinite sample is rejected.
+    The slabs of ``smooth_slabs(v, cfg)`` are thresholded one by one and
+    joined in z order, so the result does not depend on ``threads``.
     """
-    if v.data.dtype.kind == "f" and not np.isfinite(v.data).all():
-        nan, inf = int(np.isnan(v.data).sum()), int(np.isinf(v.data).sum())
-        raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
+    smoothed = smooth_slabs(v, cfg)
     ranges = slab_ranges(v.data.shape[0], cfg.slabs)
-    mask = np.empty(v.data.shape, dtype=np.uint8)
 
     def run(zr):
-        return _binarize_slab(v, zr[0], zr[1], cfg)
+        return _binarize_slab(smoothed, zr[0], zr[1], cfg)
 
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, ranges))
     else:
         results = [run(zr) for zr in ranges]
-    slabs = []
-    for (z_lo, z_hi), (sub, res) in zip(ranges, results):
-        mask[z_lo:z_hi] = sub
-        slabs.append(res)
-    return Volume(mask, v.spacing), slabs
+    mask = np.concatenate([sub for sub, _ in results])
+    return Volume(mask, v.spacing), [res for _, res in results]

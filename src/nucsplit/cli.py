@@ -19,9 +19,9 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .binarize import BinarizationConfig, binarize
+from .binarize import METHODS, BinarizationConfig, binarize
 from .evaluate import evaluate
-from .graphbuild import EdgeWeightConfig
+from .graphbuild import SCHEMES, EdgeWeightConfig
 from .nucmodel import NucleusModelParams
 from .partition import PartitionerConfig
 from .splitter import segment
@@ -30,12 +30,29 @@ from .volume import read_rvol, write_rvol
 
 __all__ = ["PipelineConfig", "cli_main", "main"]
 
-_SECTION_FIELDS = {
-    "binarization": {f.name for f in dataclasses.fields(BinarizationConfig)},
-    "weights": {f.name for f in dataclasses.fields(EdgeWeightConfig)},
-    "partition": {f.name for f in dataclasses.fields(PartitionerConfig)},
-    "model": {f.name for f in dataclasses.fields(NucleusModelParams)},
+_SECTIONS = {
+    "binarization": BinarizationConfig,
+    "weights": EdgeWeightConfig,
+    "partition": PartitionerConfig,
+    "model": NucleusModelParams,
 }
+
+# one flag per overridable field, `--sigma-smooth` for `sigma_smooth`: (field,
+# section, argparse keywords); `binarize` takes the binarization flags only
+_OVERRIDES = (
+    ("method", "binarization", {"choices": METHODS}),
+    ("sigma_smooth", "binarization", {"type": float}),
+    ("slabs", "binarization", {"type": int}),
+    ("scheme", "weights", {"choices": SCHEMES}),
+    ("sigma_grad", "weights", {"type": float}),
+    ("imbalance", "partition", {"type": float}),
+    ("seed", "partition", {"type": int, "help": "partitioner seed"}),
+    ("v_min", "model", {"type": float}),
+    ("v_max", "model", {"type": float}),
+    ("shoulder", "model", {"type": float}),
+    ("psi_min", "model", {"type": float}),
+    ("psi_ideal", "model", {"type": float}),
+)
 
 
 @dataclass(frozen=True)
@@ -46,14 +63,8 @@ class PipelineConfig:
     model: Optional[NucleusModelParams] = None
 
     def to_dict(self) -> Dict:
-        out = {
-            "binarization": dataclasses.asdict(self.binarization),
-            "weights": dataclasses.asdict(self.weights),
-            "partition": dataclasses.asdict(self.partition),
-        }
-        if self.model is not None:
-            out["model"] = dataclasses.asdict(self.model)
-        return out
+        sections = {name: getattr(self, name) for name in _SECTIONS}
+        return {name: dataclasses.asdict(cfg) for name, cfg in sections.items() if cfg is not None}
 
 
 def _load_json(path: str) -> Dict:
@@ -68,8 +79,9 @@ def _section(raw: Dict, name: str) -> Dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section '{name}' must be an object")
+    fields = {f.name for f in dataclasses.fields(_SECTIONS[name])}
     for key in section:
-        if key not in _SECTION_FIELDS[name]:
+        if key not in fields:
             raise ValueError(f"unknown config field '{name}.{key}'")
     return dict(section)
 
@@ -79,42 +91,25 @@ def load_pipeline_config(
 ) -> PipelineConfig:
     raw = _load_json(path) if path else {}
     for name in raw:
-        if name not in _SECTION_FIELDS:
+        if name not in _SECTIONS:
             raise ValueError(f"unknown config section '{name}'")
 
-    bin_raw = _section(raw, "binarization")
-    weight_raw = _section(raw, "weights")
-    part_raw = _section(raw, "partition")
-    model_raw = _section(raw, "model")
-
-    for flag, target, key in (
-        ("method", bin_raw, "method"),
-        ("sigma_smooth", bin_raw, "sigma_smooth"),
-        ("slabs", bin_raw, "slabs"),
-        ("scheme", weight_raw, "scheme"),
-        ("sigma_grad", weight_raw, "sigma_grad"),
-        ("imbalance", part_raw, "imbalance"),
-        ("seed", part_raw, "seed"),
-        ("v_min", model_raw, "v_min"),
-        ("v_max", model_raw, "v_max"),
-        ("shoulder", model_raw, "shoulder"),
-        ("psi_min", model_raw, "psi_min"),
-        ("psi_ideal", model_raw, "psi_ideal"),
-    ):
-        value = getattr(overrides, flag, None)
+    sections = {name: _section(raw, name) for name in _SECTIONS}
+    for key, section, _ in _OVERRIDES:
+        value = getattr(overrides, key, None)
         if value is not None:
-            target[key] = value
+            sections[section][key] = value
 
     model = None
     if need_model:
         for key in ("v_min", "v_max"):
-            if key not in model_raw:
+            if key not in sections["model"]:
                 raise ValueError(f"config field 'model.{key}' is required")
-        model = NucleusModelParams(**model_raw)
+        model = NucleusModelParams(**sections["model"])
     return PipelineConfig(
-        binarization=BinarizationConfig(**bin_raw),
-        weights=EdgeWeightConfig(**weight_raw),
-        partition=PartitionerConfig(**part_raw),
+        binarization=BinarizationConfig(**sections["binarization"]),
+        weights=EdgeWeightConfig(**sections["weights"]),
+        partition=PartitionerConfig(**sections["partition"]),
         model=model,
     )
 
@@ -229,19 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     def pipeline_flags(p: argparse.ArgumentParser, with_model: bool) -> None:
         p.add_argument("--config", default=None, help="pipeline config JSON")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--method", choices=["otsu", "model_threshold"], default=None)
-        p.add_argument("--sigma-smooth", dest="sigma_smooth", type=float, default=None)
-        p.add_argument("--slabs", type=int, default=None)
-        if with_model:
-            p.add_argument("--scheme", choices=["grad", "prob", "const"], default=None)
-            p.add_argument("--sigma-grad", dest="sigma_grad", type=float, default=None)
-            p.add_argument("--imbalance", type=float, default=None)
-            p.add_argument("--seed", type=int, default=None, help="partitioner seed")
-            p.add_argument("--v-min", dest="v_min", type=float, default=None)
-            p.add_argument("--v-max", dest="v_max", type=float, default=None)
-            p.add_argument("--shoulder", type=float, default=None)
-            p.add_argument("--psi-min", dest="psi_min", type=float, default=None)
-            p.add_argument("--psi-ideal", dest="psi_ideal", type=float, default=None)
+        for key, section, kwargs in _OVERRIDES:
+            if with_model or section == "binarization":
+                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kwargs)
 
     p_bin = sub.add_parser("binarize", help="threshold a volume into a foreground mask")
     p_bin.add_argument("--in", required=True, help="input RVOL volume")

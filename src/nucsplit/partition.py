@@ -38,8 +38,8 @@ class PartitionerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.imbalance > 0:
-            raise ValueError("imbalance must be > 0")
+        if not 0 < self.imbalance < 1:
+            raise ValueError(f"imbalance must lie in (0, 1), got {self.imbalance}")
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .binarize import BinarizationConfig, SlabResult, binarize
+from .binarize import BinarizationConfig, SlabResult, binarize, smooth_slabs
 from .geometry import cut_metric_weights, volume_of
 from .graphbuild import EdgeWeightConfig, build_graph
 from .histmodel import HistogramModel
 from .nucmodel import Decision, NucleusModelParams, ScoreContext, score_function
 from .partition import PartitionerConfig, bipartition, split_blocks
-from .volume import Component, Volume, connected_components, gaussian_smooth
+from .volume import Component, Volume, connected_components
 
 __all__ = ["SplitContext", "SegmentationResult", "recursive_split", "segment"]
 
@@ -32,7 +32,7 @@ __all__ = ["SplitContext", "SegmentationResult", "recursive_split", "segment"]
 class SplitContext:
     """Everything the recursion needs besides the component itself."""
 
-    volume: Volume  # intensity the edge weights read (smoothed if binarization smoothed)
+    volume: Volume  # intensity the edge weights read; segment passes the smooth_slabs output
     score_ctx: ScoreContext
     edge_cfg: EdgeWeightConfig = EdgeWeightConfig()
     part_cfg: PartitionerConfig = PartitionerConfig()
@@ -123,17 +123,18 @@ def segment(
     part_cfg: PartitionerConfig = PartitionerConfig(),
     threads: int = 1,
 ) -> SegmentationResult:
-    """Binarize, split every foreground component, and assemble labels."""
-    mask, slabs = binarize(v, bin_cfg, threads=threads)
-    comps = connected_components(mask)
-
+    """Binarize, split every foreground component, and assemble labels.
+    Each slab is smoothed once, for the thresholds and the edge weights."""
+    # first: on a cache miss, the weight table's transient peak precedes the smoothed volume
     score_ctx = ScoreContext(
         spacing=v.spacing,
         weights=cut_metric_weights(v.spacing),
         params=params,
         imbalance=part_cfg.imbalance,
     )
-    guide = gaussian_smooth(v, bin_cfg.sigma_smooth)
+    smoothed = smooth_slabs(v, bin_cfg)
+    mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0), threads=threads)
+    comps = connected_components(mask)
 
     kept: List[Tuple[Component, float, float]] = []
     for comp in comps:
@@ -141,7 +142,7 @@ def segment(
         if edge_cfg.scheme == "prob" and model is None:
             raise ValueError("probability edge weights need a fitted histogram model")
         ctx = SplitContext(
-            volume=guide,
+            volume=smoothed,
             score_ctx=score_ctx,
             edge_cfg=edge_cfg,
             part_cfg=part_cfg,

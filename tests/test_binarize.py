@@ -1,12 +1,13 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges
+from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges, smooth_slabs
 from nucsplit.histmodel import Histogram, otsu_threshold
-from nucsplit.volume import Volume
+from nucsplit.volume import Volume, gaussian_smooth
 
 
 def ellipsoid_mask(shape_zyx, center_xyz, semi_xyz):
@@ -150,6 +151,26 @@ def test_threads_do_not_change_result():
     par_mask, par_slabs = binarize(v, cfg, threads=4)
     assert np.array_equal(seq_mask.data, par_mask.data)
     assert [s.to_dict() for s in seq_slabs] == [s.to_dict() for s in par_slabs]
+
+
+@pytest.mark.parametrize("slabs", [1, 3])
+def test_binarize_thresholds_the_smoothed_slabs(slabs):
+    """Each slab is smoothed on its own with its edge slices replicated,
+    and binarize thresholds exactly those values."""
+    rng = np.random.default_rng(8)
+    data = rng.integers(0, 120, size=(10, 16, 16)).astype(np.uint8)
+    data[2:8, 4:12, 4:12] += 100
+    v = Volume(data)
+    cfg = BinarizationConfig("otsu", sigma_smooth=1.2, slabs=slabs)
+    smoothed = smooth_slabs(v, cfg)
+    by_slab = [gaussian_smooth(Volume(data[a:b]), 1.2).data for a, b in slab_ranges(10, slabs)]
+    assert np.array_equal(smoothed.data, np.concatenate(by_slab))
+    assert smooth_slabs(v, replace(cfg, sigma_smooth=0.0)) is v
+
+    mask, results = binarize(v, cfg)
+    again, again_results = binarize(smoothed, replace(cfg, sigma_smooth=0.0))
+    assert np.array_equal(mask.data, again.data)
+    assert [s.to_dict() for s in results] == [s.to_dict() for s in again_results]
 
 
 def test_negative_values_rejected():

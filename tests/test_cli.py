@@ -49,6 +49,12 @@ def synth(tmp_path, scene_cfg, capsys, prefix="scene"):
     return json.loads(capsys.readouterr().out)
 
 
+def flat_volume(tmp_path):
+    vol = tmp_path / "flat.rvol"
+    write_rvol(vol, Volume(np.full((4, 8, 8), 37, dtype=np.uint16)))
+    return str(vol)
+
+
 def test_synth_writes_pair_and_echoes_config(tmp_path, scene_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
     assert out["config"]["seed"] == 9
@@ -298,10 +304,8 @@ def test_removed_config_fields_exit_2(tmp_path, pipeline_cfg, section, key, caps
     raw[section][key] = 1
     cfg = tmp_path / "removed.json"
     cfg.write_text(json.dumps(raw))
-    vol = tmp_path / "v.rvol"
-    write_rvol(vol, Volume(np.full((4, 8, 8), 37, dtype=np.uint16)))
     out = str(tmp_path / "l.rvol")
-    rc = cli_main(["segment", "--in", str(vol), "--config", str(cfg), "--out", out])
+    rc = cli_main(["segment", "--in", flat_volume(tmp_path), "--config", str(cfg), "--out", out])
     assert rc == 2
     assert f"unknown config field '{section}.{key}'" in capsys.readouterr().err
 
@@ -349,3 +353,44 @@ def test_non_finite_input_exits_2(tmp_path, pipeline_cfg, bad, counts, command, 
     assert rc == 2
     err = capsys.readouterr().err
     assert f"non-finite values: {counts}" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "1.0", "1.5"])
+def test_imbalance_outside_the_open_unit_interval_exits_2(tmp_path, pipeline_cfg, eps, capsys):
+    out = str(tmp_path / "l.rvol")
+    argv = ["segment", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", out]
+    rc = cli_main(argv + ["--imbalance", eps])
+    assert rc == 2
+    assert "imbalance must lie in (0, 1)" in capsys.readouterr().err
+
+
+def echoed_segment_config(tmp_path, pipeline_cfg, extra):
+    report = tmp_path / "objects.jsonl"
+    out = str(tmp_path / "l.rvol")
+    argv = ["segment", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", out]
+    assert cli_main(argv + ["--report", str(report)] + extra) == 0
+    return json.loads(report.read_text().splitlines()[0])["config"]
+
+
+@pytest.mark.parametrize(
+    "flag, section, key, value",
+    [
+        ("--method", "binarization", "method", "model_threshold"),
+        ("--sigma-smooth", "binarization", "sigma_smooth", 0.5),
+        ("--slabs", "binarization", "slabs", 2),
+        ("--scheme", "weights", "scheme", "prob"),
+        ("--sigma-grad", "weights", "sigma_grad", 7.5),
+        ("--imbalance", "partition", "imbalance", 0.3),
+        ("--seed", "partition", "seed", 5),
+        ("--v-min", "model", "v_min", 800.0),
+        ("--v-max", "model", "v_max", 2000.0),
+        ("--shoulder", "model", "shoulder", 0.3),
+        ("--psi-min", "model", "psi_min", 0.7),
+        ("--psi-ideal", "model", "psi_ideal", 0.9),
+    ],
+)
+def test_each_override_flag_sets_its_own_field(tmp_path, pipeline_cfg, flag, section, key, value):
+    expected = echoed_segment_config(tmp_path, pipeline_cfg, [])
+    assert expected[section][key] != value
+    expected[section][key] = value
+    assert echoed_segment_config(tmp_path, pipeline_cfg, [flag, str(value)]) == expected

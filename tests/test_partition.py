@@ -58,8 +58,9 @@ def balls_with_bridge(r, gap):
 
 
 def test_config_and_type_validation():
-    with pytest.raises(ValueError):
-        PartitionerConfig(imbalance=0.0)
+    for eps in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="imbalance must lie in"):
+            PartitionerConfig(imbalance=eps)
     with pytest.raises(ValueError):
         Bipartition(np.zeros(4, np.uint8), 1.0, (4, 0))
     with pytest.raises(ValueError):

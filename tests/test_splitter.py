@@ -1,4 +1,6 @@
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from nucsplit.nucmodel import NucleusModelParams, ScoreContext
 from nucsplit.partition import PartitionerConfig
 from nucsplit.splitter import SplitContext, _model_for, recursive_split, segment
 from nucsplit.synthgen import SceneConfig, generate
-from nucsplit.volume import Component, Volume, connected_components
+from nucsplit.volume import Component, Volume, connected_components, gaussian_smooth
 
 
 def ball_mask(shape_zyx, center_xyz, r):
@@ -169,6 +171,53 @@ def test_segment_clean_scene_matches_truth():
     # every labelled voxel was foreground in the mask
     mask, _ = binarize(intensity, BIN)
     assert not labels[mask.data == 0].any()
+
+
+@pytest.fixture(scope="module")
+def clean_scene():
+    return generate(SCENE)
+
+
+@pytest.mark.parametrize("slabs", [1, 3])
+def test_segment_smooths_each_voxel_once(clean_scene, monkeypatch, slabs):
+    smoothed = []
+
+    def counting(v, sigma):
+        if sigma > 0:
+            smoothed.append(v.data.size)
+        return gaussian_smooth(v, sigma)
+
+    # sys.modules: the package attribute `nucsplit.binarize` is the function
+    for name in ("nucsplit.volume", "nucsplit.binarize", "nucsplit.splitter"):
+        if hasattr(sys.modules[name], "gaussian_smooth"):
+            monkeypatch.setattr(sys.modules[name], "gaussian_smooth", counting)
+    intensity, _ = clean_scene
+    result = segment(intensity, PARAMS, bin_cfg=replace(BIN, slabs=slabs))
+    assert len(result.objects) == 7
+    assert len(smoothed) == slabs
+    assert sum(smoothed) == intensity.data.size
+
+
+def orient_xy(v, k):
+    """Bit 0 flips x, bit 1 flips y, bit 2 swaps x and y with the spacing."""
+    data, spacing = v.data, v.spacing
+    if k & 1:
+        data = data[:, :, ::-1]
+    if k & 2:
+        data = data[:, ::-1, :]
+    if k & 4:
+        data = data.transpose(0, 2, 1)
+        spacing = (spacing[1], spacing[0], spacing[2])
+    return Volume(data, spacing)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_segment_invariant_under_xy_flips_and_transpose(clean_scene, k):
+    intensity, truth = (orient_xy(v, k) for v in clean_scene)
+    result = segment(intensity, PARAMS, bin_cfg=BIN)
+    assert len(result.objects) == 7
+    rep = evaluate(truth, result.labels)
+    assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 0, 0, 0)
 
 
 def test_segment_reports_the_sphericity_of_each_label():
