@@ -1,11 +1,15 @@
 """Balanced two-way multilevel graph partitioning.
 
 The classic scheme: coarsen by heavy-edge matching until the graph is
-small, grow an initial block by BFS from a pseudo-peripheral node, then
-refine with pass-based FM local search while projecting back through
-the levels. Balance is a hard constraint: neither block may exceed
-(1 + imbalance) * ceil(n / 2) nodes, counted in fine-level voxels at
-every level via aggregated node weights.
+small, then grow initial blocks on the coarsest level and keep the best
+after FM refinement. On a coarsest level of at most 64 nodes growth
+starts from every node under both growth policies; a larger, stalled
+one starts from the two ends of a pseudo-peripheral sweep. Many starts
+grow the same block, and each distinct block is refined once. The best
+block is then refined with pass-based FM local search while projecting
+back through the levels. Balance is a hard constraint: neither block
+may exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
+voxels at every level via aggregated node weights.
 """
 
 from __future__ import annotations
@@ -139,16 +143,15 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
 
 
 def _bfs_farthest(lv: _Level, start: int) -> Tuple[int, int]:
+    ptr = lv.indptr.tolist()
+    idx = lv.indices.tolist()
     dist = [-1] * lv.n
     dist[start] = 0
     q = deque([start])
-    idx = lv.indices
-    ptr = lv.indptr
     far, far_d = start, 0
     while q:
         u = q.popleft()
-        for j in range(ptr[u], ptr[u + 1]):
-            v = int(idx[j])
+        for v in idx[ptr[u] : ptr[u + 1]]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 if dist[v] > far_d:  # id-ordered neighbors keep ties low
@@ -158,9 +161,9 @@ def _bfs_farthest(lv: _Level, start: int) -> Tuple[int, int]:
 
 
 def _start_candidates(lv: _Level) -> List[int]:
-    """Growth starts for the coarsest level.
+    """Growth starts for the coarsest level, each tried under both policies.
 
-    Small enough to scan: every node (on near-regular small graphs most
+    At most 64 nodes: every node (on near-regular small graphs most
     nodes tie for maximal eccentricity anyway). Larger stalled graphs:
     the two endpoints of the two-sweep pseudo-peripheral heuristic.
     """
@@ -181,12 +184,11 @@ def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarra
     FIFO order.
     """
     n = lv.n
-    ptr, idx, wts = lv.indptr, lv.indices, lv.weights
-    deg_w = np.bincount(lv.rows, weights=wts, minlength=n)
-    in_region = np.zeros(n, dtype=bool)
-    w_region = np.zeros(n)  # edge weight from each outside node into the region
-    side = np.ones(n, dtype=np.uint8)
+    ptr, idx, wts = lv.indptr.tolist(), lv.indices.tolist(), lv.weights.tolist()
+    deg_w = np.bincount(lv.rows, weights=lv.weights, minlength=n).tolist()
     nw = lv.node_w.tolist()
+    in_region = [False] * n
+    w_region = [0.0] * n  # edge weight from each outside node into the region
 
     heap: List[Tuple[float, int]] = []
     w0 = 0
@@ -195,17 +197,16 @@ def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarra
 
     def priority(v: int) -> float:
         if policy == 0:
-            return float(deg_w[v] - 2.0 * w_region[v])
-        return float(-w_region[v])
+            return deg_w[v] - 2.0 * w_region[v]
+        return -w_region[v]
 
     def absorb(u: int):
         nonlocal w0, taken
         in_region[u] = True
-        side[u] = 0
         w0 += nw[u]
         taken += 1
         for j in range(ptr[u], ptr[u + 1]):
-            v = int(idx[j])
+            v = idx[j]
             if not in_region[v]:
                 w_region[v] += wts[j]
                 heapq.heappush(heap, (priority(v), v))
@@ -224,20 +225,24 @@ def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarra
                 next_seed += 1
             u = next_seed
         absorb(u)
-    return side
+    return np.logical_not(in_region).astype(np.uint8)
 
 
 def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
+    """One FM pass that leaves ``side`` at its best prefix of moves. Per-node
+    state is kept in lists; a moved node's neighbours are read as one slice."""
     n = lv.n
     same = side[lv.rows] == side[lv.indices]
     ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=n)
     intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=n)
     gain = ext - intw
-    moved = np.zeros(n, dtype=bool)
-    heap = [(float(-gain[u]), int(u)) for u in np.flatnonzero(ext > 0)]
+    boundary = np.flatnonzero(ext > 0)
+    heap = list(zip((-gain[boundary]).tolist(), boundary.tolist()))
     heapq.heapify(heap)
-    node_w = lv.node_w
-    ptr, idx, wts = lv.indptr, lv.indices, lv.weights
+    ext, intw, gain = ext.tolist(), intw.tolist(), gain.tolist()
+    sides = side.tolist()
+    moved = [False] * n
+    node_w, ptr, idx, wts = lv.node_w, lv.indptr, lv.indices, lv.weights
 
     hist: List[int] = []
     cur = cut
@@ -250,10 +255,12 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
         if moved[u] or -neg_g != gain[u] or ext[u] <= 0:
             continue  # stale heap entry or no longer a boundary node
         wu = int(node_w[u])
-        new_w0 = w0 - wu if side[u] == 0 else w0 + wu
+        su = sides[u]
+        new_w0 = w0 - wu if su == 0 else w0 + wu
         if new_w0 < 1 or total_w - new_w0 < 1 or max(new_w0, total_w - new_w0) > max_side_w:
             continue
-        side[u] = 1 - side[u]
+        su = 1 - su
+        sides[u] = su
         moved[u] = True
         w0 = new_w0
         cur -= gain[u]
@@ -265,25 +272,25 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
             fruitless = 0
         else:
             fruitless += 1
-        for j in range(ptr[u], ptr[u + 1]):
-            v = int(idx[j])
+        a, b = ptr[u], ptr[u + 1]
+        for v, w in zip(idx[a:b].tolist(), wts[a:b].tolist()):
             if moved[v]:
                 continue
-            w = wts[j]
-            if side[v] == side[u]:
+            if sides[v] == su:
                 ext[v] -= w
                 intw[v] += w
             else:
                 ext[v] += w
                 intw[v] -= w
-            gain[v] = ext[v] - intw[v]
+            g = ext[v] - intw[v]
+            gain[v] = g
             if ext[v] > 0:
-                heapq.heappush(heap, (float(-gain[v]), v))
+                heapq.heappush(heap, (-g, v))
         ext[u], intw[u] = intw[u], ext[u]
         gain[u] = -gain[u]
 
-    for u in hist[best_len:][::-1]:
-        side[u] = 1 - side[u]
+    keep = hist[:best_len]  # each node moves at most once per pass
+    side[keep] = 1 - side[keep]
     return best_cut, w0_hist[best_len], best_len > 0
 
 
@@ -324,9 +331,14 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
     coarsest = levels[-1]
     side = None
     best_cut = math.inf
+    tried = set()
     for start in _start_candidates(coarsest):
         for policy in (0, 1):
             cand = _grow_initial(coarsest, ceil_half, start, policy)
+            key = cand.tobytes()
+            if key in tried:
+                continue  # FM is deterministic and only a strictly smaller cut wins
+            tried.add(key)
             _fm_refine(coarsest, cand, n, max_side_w)
             cut = _cut_of(coarsest, cand)
             if cut < best_cut - 1e-12:

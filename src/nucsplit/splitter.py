@@ -99,17 +99,21 @@ def recursive_split(c: Component, ctx: SplitContext) -> List[Tuple[Component, fl
 
 
 def _model_for(c: Component, slabs: List[SlabResult]) -> Optional[HistogramModel]:
-    """Histogram model for a component: its first voxel's slab, or the
-    nearest slab that managed a fit."""
-    z0 = int(c.coords[0, 2])
+    """Histogram model for a component: that of the slab holding most of
+    its voxels (ties to the lower slab), or else that of the fitted slab
+    nearest to any of its voxels."""
+    per_z = np.bincount(c.coords[:, 2])
+    held = [int(per_z[s.z_lo : s.z_hi].sum()) for s in slabs]
+    home = slabs[held.index(max(held))]
+    if home.model is not None:
+        return home.model
+    z = np.flatnonzero(per_z)
     best = None
     best_d = None
     for s in slabs:
         if s.model is None:
             continue
-        if s.z_lo <= z0 < s.z_hi:
-            return s.model
-        d = min(abs(z0 - s.z_lo), abs(z0 - (s.z_hi - 1)))
+        d = int(np.abs(z - np.clip(z, s.z_lo, s.z_hi - 1)).min())
         if best_d is None or d < best_d:
             best, best_d = s.model, d
     return best

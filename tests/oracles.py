@@ -1,7 +1,8 @@
 """Slow, obviously-correct reference code that the tests compare the package against."""
 
+import heapq
 from collections import Counter
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -56,6 +57,125 @@ def cut_weight(g: ComponentGraph, side: np.ndarray) -> float:
     """Total weight of the edges whose ends lie on different sides."""
     eu, ev, ew = edge_arrays(g)
     return float(ew[side[eu] != side[ev]].sum())
+
+
+def grow_initial(lv, target: int, start: int, policy: int) -> np.ndarray:
+    """The partitioner's growth over numpy state, one element at a time.
+
+    Greedy frontier growth from ``start`` until the first block holds at
+    least ``target`` node weight.
+
+    The next frontier node absorbed is the one minimizing the running
+    cut (policy 0) or the one most attached to the region (policy 1),
+    ties toward the lowest id; BFS-flavored greedy growth rather than
+    FIFO order.
+    """
+    n = lv.n
+    ptr, idx, wts = lv.indptr, lv.indices, lv.weights
+    deg_w = np.bincount(lv.rows, weights=wts, minlength=n)
+    in_region = np.zeros(n, dtype=bool)
+    w_region = np.zeros(n)  # edge weight from each outside node into the region
+    side = np.ones(n, dtype=np.uint8)
+    nw = lv.node_w.tolist()
+
+    heap: List[Tuple[float, int]] = []
+    w0 = 0
+    taken = 0
+    next_seed = 0
+
+    def priority(v: int) -> float:
+        if policy == 0:
+            return float(deg_w[v] - 2.0 * w_region[v])
+        return float(-w_region[v])
+
+    def absorb(u: int):
+        nonlocal w0, taken
+        in_region[u] = True
+        side[u] = 0
+        w0 += nw[u]
+        taken += 1
+        for j in range(ptr[u], ptr[u + 1]):
+            v = int(idx[j])
+            if not in_region[v]:
+                w_region[v] += wts[j]
+                heapq.heappush(heap, (priority(v), v))
+
+    absorb(start)
+    while w0 < target and taken < n - 1:
+        u = -1
+        while heap:
+            loss, cand = heapq.heappop(heap)
+            if not in_region[cand] and loss == priority(cand):
+                u = cand
+                break
+        if u < 0:
+            # disconnected graph: restart from the lowest untouched id
+            while in_region[next_seed]:
+                next_seed += 1
+            u = next_seed
+        absorb(u)
+    return side
+
+
+def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
+    """The partitioner's FM pass over numpy state, one element read at a time."""
+    n = lv.n
+    same = side[lv.rows] == side[lv.indices]
+    ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=n)
+    intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=n)
+    gain = ext - intw
+    moved = np.zeros(n, dtype=bool)
+    heap = [(float(-gain[u]), int(u)) for u in np.flatnonzero(ext > 0)]
+    heapq.heapify(heap)
+    node_w = lv.node_w
+    ptr, idx, wts = lv.indptr, lv.indices, lv.weights
+
+    hist: List[int] = []
+    cur = cut
+    best_cut = cut
+    best_len = 0
+    w0_hist = [w0]
+    fruitless = 0
+    while heap and fruitless < stall_limit:
+        neg_g, u = heapq.heappop(heap)
+        if moved[u] or -neg_g != gain[u] or ext[u] <= 0:
+            continue  # stale heap entry or no longer a boundary node
+        wu = int(node_w[u])
+        new_w0 = w0 - wu if side[u] == 0 else w0 + wu
+        if new_w0 < 1 or total_w - new_w0 < 1 or max(new_w0, total_w - new_w0) > max_side_w:
+            continue
+        side[u] = 1 - side[u]
+        moved[u] = True
+        w0 = new_w0
+        cur -= gain[u]
+        hist.append(u)
+        w0_hist.append(w0)
+        if cur < best_cut - 1e-12:
+            best_cut = cur
+            best_len = len(hist)
+            fruitless = 0
+        else:
+            fruitless += 1
+        for j in range(ptr[u], ptr[u + 1]):
+            v = int(idx[j])
+            if moved[v]:
+                continue
+            w = wts[j]
+            if side[v] == side[u]:
+                ext[v] -= w
+                intw[v] += w
+            else:
+                ext[v] += w
+                intw[v] -= w
+            gain[v] = ext[v] - intw[v]
+            if ext[v] > 0:
+                heapq.heappush(heap, (float(-gain[v]), v))
+        ext[u], intw[u] = intw[u], ext[u]
+        gain[u] = -gain[u]
+
+    for u in hist[best_len:][::-1]:
+        side[u] = 1 - side[u]
+    return best_cut, w0_hist[best_len], best_len > 0
 
 
 def _plurality(overlap: Dict[Tuple[int, int], int]) -> Dict[int, int]:

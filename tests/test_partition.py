@@ -1,20 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph
 from nucsplit.partition import (
     Bipartition,
     PartitionerConfig,
     _cut_of,
     _fm_pass,
+    _grow_initial,
     _Level,
     bipartition,
     split_blocks,
 )
 from nucsplit.volume import Component, Volume, connected_components
-from oracles import cut_weight, edge_arrays, graph_from_edge_list
+from oracles import cut_weight, edge_arrays, fm_pass, graph_from_edge_list, grow_initial
 
 
 def brute_best_balanced_cut(n, eu, ev, ew, eps=0.5):
@@ -147,12 +150,37 @@ def test_deterministic_for_fixed_seed():
     assert a.block_sizes == bb.block_sizes
 
 
+def grid_graph():
+    v = Volume(np.ones((4, 12, 12), dtype=np.uint8), (1.0, 1.0, 1.0))
+    comp = connected_components(v)[0]
+    return comp, build_graph(comp, v, cfg=EdgeWeightConfig("const"))
+
+
+def star_chain(rng, hubs=3, leaves=30):
+    """Hubs on a path, each with its own leaves. A matching pairs at most
+    one leaf per hub, so coarsening stalls above 64 nodes."""
+    edges = []
+    for h in range(hubs):
+        hub = h * (leaves + 1)
+        if h:
+            edges.append((hub - leaves - 1, hub, 5.0))
+        for k in range(1, leaves + 1):
+            edges.append((hub, hub + k, float(rng.uniform(0.5, 2.0))))
+    return graph_from_edge_list(hubs * (leaves + 1), edges)
+
+
+def digest_cases():
+    """(name, graph, partitioner seed) for the reference digests."""
+    for n in list(range(4, 17)) + [50]:
+        yield f"random{n}", random_graph(np.random.default_rng(n), n)[0], n
+    yield "grid", grid_graph()[1], 1
+    yield "star_chain", star_chain(np.random.default_rng(11)), 4
+
+
 def test_multilevel_on_grid_graph():
     """A 12x12x4 voxel grid forces several coarsening levels; the result
     must stay balanced, deterministic, and no worse than a naive slab cut."""
-    v = Volume(np.ones((4, 12, 12), dtype=np.uint8), (1.0, 1.0, 1.0))
-    comp = connected_components(v)[0]
-    g = build_graph(comp, v, cfg=EdgeWeightConfig("const"))
+    comp, g = grid_graph()
     b1 = bipartition(g, PartitionerConfig(seed=1))
     b2 = bipartition(g, PartitionerConfig(seed=1))
     assert np.array_equal(b1.side, b2.side)
@@ -223,3 +251,90 @@ def test_disconnected_graph_zero_cut():
     b = bipartition(graph_from_edge_list(6, edges), PartitionerConfig(seed=0))
     assert b.cut_weight == 0.0
     assert b.block_sizes == (3, 3)
+
+
+# sha256(side.tobytes() + repr(cut_weight)) of each digest case, recorded
+# before the coarsest scan skipped repeated blocks and FM kept its state in lists
+REFERENCE_DIGESTS = {
+    "random4": "9913b375daf7c31a4e38732e7f99c34b9d3d70ce637382251d6cf24f19a42354",
+    "random5": "29b5531e3f5cd676cced3146be66df2c25290f1ad2e1d064c68c3710ddb42b1e",
+    "random6": "90ecfedd699e4ee6e4d10692c12b5151b6f1d44e71efcfa75292f6b27b74992e",
+    "random7": "e2d5ce57bbf9ad75f9ecd3069223afa2d8aee5e54d0d4529926d07e06a03b13e",
+    "random8": "c70759a803a71b9fa1783e9aba70246b33369f4ab375180d8755b73870fa2c86",
+    "random9": "ad6ba4feb3bd636c0af64a31011c056f427a7e40e2fd07c6a8a8754ce258a45c",
+    "random10": "2328674b3940404c8c6601637a4d88a646401a03f773037651627c3ba9eee127",
+    "random11": "952041aafb65c4795b92659f8e555059f36ac6449867e39cb75eb0c91305a6e7",
+    "random12": "3c669db978ef39ac2fcde5ce6395cc03336bf24a3439f0c82c56493cac27c708",
+    "random13": "6bef529bc2b66ff6b49c48f17ecbacc7f97ad2ef38933e10028c44add98564c3",
+    "random14": "017d62890a720b1bfb2a9dd3253bd820c6f0c389fc2ce073f9807435b0ea4f0b",
+    "random15": "502ea6bb3b47855d486fbb299d946e99f3123e6901592c0f4d3801f665524087",
+    "random16": "576feb16c886bc81103ebda55acb9ccf443a08e33a0a7844b018bc8b09d7de70",
+    "random50": "1ff22f1a1f72393667626f2593b5ff0c57fdccf39c477189ed0fcd475a29d177",
+    "grid": "0c07ef8b4a5ce3511dade21a4c543b715243110fc6b6651dd4f2f596247df4fd",
+    "star_chain": "8f024e5fe9f643516ba5abe5f0efd2addf4a79ea8d0273a637abd68a9c9e221b",
+}
+
+
+def test_output_matches_reference_digests():
+    got = {}
+    for name, g, seed in digest_cases():
+        b = bipartition(g, PartitionerConfig(seed=seed))
+        got[name] = hashlib.sha256(b.side.tobytes() + repr(b.cut_weight).encode()).hexdigest()
+    assert got == REFERENCE_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["random12", "random16", "grid"])
+def test_coarsest_level_refines_each_distinct_block_once(monkeypatch, name):
+    g, seed = next((g, seed) for case, g, seed in digest_cases() if case == name)
+    real_refine = partition._fm_refine
+    coarsest, grown, refined = [], [], []
+
+    def grow(lv, *args):
+        coarsest.append(lv)  # growth runs on the coarsest level only
+        side = _grow_initial(lv, *args)
+        grown.append(side.tobytes())
+        return side
+
+    def refine(lv, side, *args):
+        if coarsest and lv is coarsest[0]:
+            refined.append(side.tobytes())
+        return real_refine(lv, side, *args)
+
+    monkeypatch.setattr(partition, "_grow_initial", grow)
+    monkeypatch.setattr(partition, "_fm_refine", refine)
+    bipartition(g, PartitionerConfig(seed=seed))
+    assert len(set(grown)) < len(grown)  # the scan does grow repeated blocks
+    assert refined == list(dict.fromkeys(grown))  # each distinct block, once, in order
+
+
+def weighted_level(rng):
+    """A random level with node weights of up to 5 fine nodes, as on coarse levels."""
+    n = int(rng.integers(4, 41))
+    g, _ = random_graph(rng, n)
+    node_w = rng.integers(1, 6, size=n).astype(np.int64)
+    return _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, node_w)
+
+
+def test_growth_and_fm_pass_match_the_numpy_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        lv = weighted_level(rng)
+        total_w = int(lv.node_w.sum())
+        ceil_half = (total_w + 1) // 2
+        max_w = math.floor(1.5 * ceil_half + 1e-9)
+        start = int(rng.integers(lv.n))
+        for policy in (0, 1):
+            side = _grow_initial(lv, ceil_half, start, policy)
+            assert np.array_equal(side, grow_initial(lv, ceil_half, start, policy))
+        side = rng.integers(0, 2, size=lv.n).astype(np.uint8)
+        side[:2] = (0, 1)
+        ref = side.copy()
+        w0 = int(lv.node_w[side == 0].sum())
+        stall_limit = int(rng.integers(1, 6))  # small limits exercise the rollback
+        for _ in range(3):
+            cut = _cut_of(lv, side)
+            got = _fm_pass(lv, side, w0, total_w, max_w, stall_limit, cut)
+            want = fm_pass(lv, ref, w0, total_w, max_w, stall_limit, cut)
+            assert got == want
+            assert np.array_equal(side, ref)
+            w0 = got[1]

@@ -284,7 +284,8 @@ def test_flat_volume_gives_empty_labels():
             assert res.objects == []
 
 
-def test_model_for_prefers_own_slab_then_nearest():
+def three_slabs():
+    """Slabs z 0-3 and 8-11 with fits (mu_f 100 and 200), z 4-7 without."""
     from nucsplit.histmodel import HistogramModel
 
     def model(mu_f):
@@ -292,17 +293,34 @@ def test_model_for_prefers_own_slab_then_nearest():
             p_b=0.8, mu_b=20.0, sigma_b=3.0, p_f=0.2, mu_f=mu_f, sigma_f=10.0, alpha=1e-4
         )
 
-    slabs = [
+    return [
         SlabResult(z_lo=0, z_hi=4, threshold=50, model=model(100.0)),
         SlabResult(z_lo=4, z_hi=8, threshold=50, model=None),
         SlabResult(z_lo=8, z_hi=12, threshold=50, model=model(200.0)),
     ]
-    def comp_at(z):
-        return Component(np.array([[0, 0, z]], dtype=np.int32))
 
-    assert _model_for(comp_at(2), slabs).mu_f == 100.0
-    assert _model_for(comp_at(11), slabs).mu_f == 200.0
+
+def column(zs):
+    """A component with one voxel at each z of ``zs``."""
+    return Component(np.array([[x, 0, z] for x, z in enumerate(zs)], dtype=np.int32))
+
+
+def test_model_for_prefers_own_slab_then_nearest():
+    slabs = three_slabs()
+    assert _model_for(column([2]), slabs).mu_f == 100.0
+    assert _model_for(column([11]), slabs).mu_f == 200.0
     # slab without a fit borrows from the closest fitted one
-    assert _model_for(comp_at(7), slabs).mu_f == 200.0
-    assert _model_for(comp_at(4), slabs).mu_f == 100.0
-    assert _model_for(comp_at(5), [SlabResult(0, 12, 50, None)]) is None
+    assert _model_for(column([7]), slabs).mu_f == 200.0
+    assert _model_for(column([4]), slabs).mu_f == 100.0
+    assert _model_for(column([5]), [SlabResult(0, 12, 50, None)]) is None
+
+
+def test_model_for_uses_the_slab_holding_most_voxels():
+    slabs = three_slabs()
+    # the first voxel lies in slab 0, the other three in slab 2
+    assert _model_for(column([3, 8, 9, 10]), slabs).mu_f == 200.0
+    assert _model_for(column([1, 2, 3, 8]), slabs).mu_f == 100.0
+    assert _model_for(column([1, 2, 9, 10]), slabs).mu_f == 100.0  # a tie goes to the lower slab
+    # an unfitted home slab borrows from the fitted slab nearest to any voxel
+    assert _model_for(column([4, 5, 6, 7, 8]), slabs).mu_f == 200.0
+    assert _model_for(column([3, 4, 5, 6, 7]), slabs).mu_f == 100.0
