@@ -89,10 +89,13 @@ def evaluate(truth: Volume, predicted: Volume) -> EvalReport:
                 f"{name} labels are {v.dtype_code}; evaluate needs integer labels (u8/u16/u32)"
             )
     # one uint64 key per voxel pair: ids are at most 32 bits wide, so t << 32 | p
-    # cannot overflow and no table grows with the id values
-    key = truth.data.ravel().astype(np.uint64)
+    # cannot overflow and no table grows with the id values; background in
+    # both maps counts toward neither direction, so those voxels are skipped
+    t, p = truth.data.ravel(), predicted.data.ravel()
+    either = (t != 0) | (p != 0)
+    key = t[either].astype(np.uint64)
     key <<= np.uint64(32)
-    key |= predicted.data.ravel()
+    key |= p[either]
     pairs, counts = np.unique(key, return_counts=True)
     tk = pairs >> np.uint64(32)
     pk = pairs & np.uint64(0xFFFFFFFF)

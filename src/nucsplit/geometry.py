@@ -10,12 +10,13 @@ cross-sectional area per line (cell volume / step length), so the weights
 
 with Phi_k the solid angle of direction k's Voronoi cell on the unit sphere
 (among all 26 spacing-scaled directions) reproduce any surface area exactly
-on average over orientations.
+on average over orientations.  The solid angles are the exact areas of the
+spherical Voronoi cells, not a sampled estimate.
 
 That average hides a strong orientation bias: with only 26 directions the
 implied quadrature of |cos theta| is crude, so axis-normal planes read low
 (about -7% isotropic, far worse at coarse axial spacing where the polar
-Voronoi cells shrink to slivers).  The production weights therefore get a
+Voronoi cells shrink to slivers).  The weights therefore get a
 calibration step: the smallest relative adjustment, bounded to keep every
 weight positive, that makes the three axis-normal planes and the
 orientation average measure exactly.  Flat cut faces and digitized spheres
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import lsq_linear
+from scipy.spatial import SphericalVoronoi
 
-from .volume import Component, paint_component
+from .volume import Component, check_spacing, paint_component
 
 # all 26 neighbor offsets, x-fastest scan order; the first 13 are the
 # canonical family representatives (scan-order predecessors of the center)
@@ -44,37 +46,18 @@ DIRECTIONS_26 = np.array(
     ],
     dtype=np.int8,
 )
-DIRECTIONS_6 = np.array(
-    [d for d in DIRECTIONS_26.tolist() if sum(abs(c) for c in d) == 1], dtype=np.int8
-)
-
-_SAMPLES = 1_000_000
-_weights_cache: dict = {}
 
 
-def _sphere_points(n: int) -> np.ndarray:
-    """Fibonacci lattice: n quasi-uniform points on the unit sphere."""
-    i = np.arange(n, dtype=np.float64)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
+    """Exact solid-angle fraction of each scaled direction's Voronoi cell.
 
-
-def voronoi_fractions(directions: np.ndarray, spacing, n_samples: int = _SAMPLES) -> np.ndarray:
-    """Solid-angle fraction of each scaled direction's Voronoi cell.
-
-    Each sample point on the sphere is assigned to the nearest direction;
-    antipodal direction pairs are averaged so central symmetry is exact.
+    The cell areas come from the spherical Voronoi diagram of the unit
+    directions; antipodal direction pairs are averaged so central symmetry
+    is exact.
     """
     scaled = directions.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
     unit = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
-    counts = np.zeros(len(directions), dtype=np.int64)
-    pts = _sphere_points(n_samples)
-    for lo in range(0, n_samples, 65536):
-        dots = pts[lo : lo + 65536] @ unit.T
-        counts += np.bincount(np.argmax(dots, axis=1), minlength=len(directions))
-    f = counts / n_samples
+    f = SphericalVoronoi(unit).calculate_areas() / (4.0 * math.pi)
     antipode = np.array(
         [int(np.flatnonzero((directions == -d).all(axis=1))[0]) for d in directions]
     )
@@ -126,38 +109,17 @@ def _calibrate(w0, unit, rho):
     return w
 
 
-def cut_metric_weights(spacing, neighborhood: int = 26) -> CutMetricWeights:
-    """Compute (and cache) cut-metric weights for a spacing.
-
-    ``neighborhood=6`` restricts the direction set to the axes and skips the
-    plane calibration; it exists to validate the raw angular-partition
-    construction against the closed-form axis weight (2/3)d^2 on isotropic
-    grids.
-    """
-    spacing = (float(spacing[0]), float(spacing[1]), float(spacing[2]))
-    if min(spacing) <= 0:
-        raise ValueError(f"spacing components must be > 0, got {spacing}")
-    key = (spacing, neighborhood)
-    if key in _weights_cache:
-        return _weights_cache[key]
-    if neighborhood == 26:
-        directions = DIRECTIONS_26
-    elif neighborhood == 6:
-        directions = DIRECTIONS_6
-    else:
-        raise ValueError(f"neighborhood must be 6 or 26, got {neighborhood}")
-    fractions = voronoi_fractions(directions, spacing)
-    half = directions[: len(directions) // 2]
+def cut_metric_weights(spacing) -> CutMetricWeights:
+    """Calibrated cut-metric weights of the 26-neighborhood for a spacing."""
+    spacing = check_spacing(spacing)
+    fractions = voronoi_fractions(DIRECTIONS_26, spacing)
+    half = DIRECTIONS_26[:13]
     phys = half.astype(np.float64) * spacing
     step = np.linalg.norm(phys, axis=1)
     unit = phys / step[:, None]
     rho = (spacing[0] * spacing[1] * spacing[2]) / step
-    omega = (4.0 * math.pi * fractions[: len(half)]) * rho / math.pi
-    if neighborhood == 26:
-        omega = _calibrate(omega, unit, rho)
-    w = CutMetricWeights(spacing=spacing, directions=half, fractions=fractions, omega=omega)
-    _weights_cache[key] = w
-    return w
+    omega = _calibrate((4.0 * math.pi * fractions[:13]) * rho / math.pi, unit, rho)
+    return CutMetricWeights(spacing=spacing, directions=half, fractions=fractions, omega=omega)
 
 
 def surface_area(c: Component, w: CutMetricWeights) -> float:

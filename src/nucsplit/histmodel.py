@@ -26,6 +26,8 @@ SIGMA_FLOOR = 0.5
 ALPHA_FLOOR = 1e-6
 POSTERIOR_FLOOR = 1e-9
 PRIOR_COLLAPSE = 1e-8
+EM_MAX_ITER = 50
+EM_TOL = 1e-4
 
 
 class DegenerateHistogram(ValueError):
@@ -257,23 +259,18 @@ def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
     return HistogramModel(p_b, mu_b, sigma_b, p_f, mu_f, sigma_f, alpha, n_levels=h.n_levels)
 
 
-def em_fit(
-    h: Histogram,
-    init: HistogramModel | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-4,
-) -> HistogramModel:
+def em_fit(h: Histogram, init: HistogramModel | None = None) -> HistogramModel:
     """Fit the mixture by EM until the largest relative parameter change
-    drops below ``tol`` (or ``max_iter`` iterations)."""
+    drops below ``EM_TOL`` (or ``EM_MAX_ITER`` iterations)."""
     m = iterative_threshold_init(h) if init is None else init.replace(n_levels=h.n_levels)
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         m_new = em_step(h, m)
         rel = max(
             abs(b - a) / max(abs(a), 1e-12)
             for a, b in zip(_param_tuple(m), _param_tuple(m_new))
         )
         m = m_new
-        if rel < tol:
+        if rel < EM_TOL:
             break
     return m
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import CutMetricWeights, sphericity, volume_of
+from .geometry import CutMetricWeights, cut_metric_weights, sphericity, volume_of
 from .volume import Component
 
 __all__ = [
@@ -71,13 +71,17 @@ class ScoredDecision(NamedTuple):
 class ScoreContext:
     """Everything score_function needs beyond the component itself.
 
-    ``imbalance`` is the partitioner's balance tolerance eps.
+    ``imbalance`` is the partitioner's balance tolerance eps; ``weights``
+    is the cut-metric table of ``spacing``, computed once here.
     """
 
     spacing: Tuple[float, float, float]
-    weights: CutMetricWeights
     params: NucleusModelParams
     imbalance: float
+    weights: CutMetricWeights = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", cut_metric_weights(self.spacing))
 
     @property
     def v_repart(self) -> float:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .binarize import BinarizationConfig, SlabResult, binarize, smooth_slabs
-from .geometry import cut_metric_weights, volume_of
+from .geometry import volume_of
 from .graphbuild import EdgeWeightConfig, build_graph
 from .histmodel import HistogramModel
 from .nucmodel import Decision, NucleusModelParams, ScoreContext, score_function
@@ -129,16 +129,10 @@ def segment(
 ) -> SegmentationResult:
     """Binarize, split every foreground component, and assemble labels.
     Each slab is smoothed once, for the thresholds and the edge weights."""
-    # first: on a cache miss, the weight table's transient peak precedes the smoothed volume
-    score_ctx = ScoreContext(
-        spacing=v.spacing,
-        weights=cut_metric_weights(v.spacing),
-        params=params,
-        imbalance=part_cfg.imbalance,
-    )
     smoothed = smooth_slabs(v, bin_cfg)
     mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0), threads=threads)
     comps = connected_components(mask)
+    score_ctx = ScoreContext(spacing=v.spacing, params=params, imbalance=part_cfg.imbalance)
 
     kept: List[Tuple[Component, float, float]] = []
     for comp in comps:

@@ -9,6 +9,7 @@ walks the voxels x-fastest: flat offset of ``(x, y, z)`` is
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,6 +23,14 @@ DTYPE_CODES = {
     "f32": np.float32,
 }
 _CODE_OF = {np.dtype(v): k for k, v in DTYPE_CODES.items()}
+
+
+def check_spacing(spacing) -> tuple[float, float, float]:
+    """The spacing as three floats; each must be finite and > 0."""
+    spacing = (float(spacing[0]), float(spacing[1]), float(spacing[2]))
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"spacing must be finite and > 0, got {spacing}")
+    return spacing
 
 
 class Volume:
@@ -38,11 +47,8 @@ class Volume:
             raise ValueError(f"volume data must be a non-empty 3D array, got shape {data.shape}")
         if data.dtype not in _CODE_OF:
             raise ValueError(f"unsupported dtype {data.dtype}; use one of {sorted(DTYPE_CODES)}")
-        spacing = (float(spacing[0]), float(spacing[1]), float(spacing[2]))
-        if min(spacing) <= 0:
-            raise ValueError(f"spacing components must be > 0, got {spacing}")
         self.data = np.ascontiguousarray(data)
-        self.spacing = spacing
+        self.spacing = check_spacing(spacing)
 
     @classmethod
     def from_flat(cls, flat, size, spacing=(1.0, 1.0, 1.0), dtype=None) -> "Volume":

@@ -355,6 +355,19 @@ def test_non_finite_input_exits_2(tmp_path, pipeline_cfg, bad, counts, command, 
     assert f"non-finite values: {counts}" in err
 
 
+def test_infinite_spacing_in_the_header_exits_2(tmp_path, pipeline_cfg, capsys):
+    vol = flat_volume(tmp_path)
+    header = json.loads(open(vol + ".json").read())
+    header["spacing"] = [1.0, 1.0, float("inf")]
+    with open(vol + ".json", "w") as f:
+        json.dump(header, f)  # written as the bare token Infinity
+    assert "Infinity" in open(vol + ".json").read()
+    out = str(tmp_path / "l.rvol")
+    rc = cli_main(["segment", "--in", vol, "--config", str(pipeline_cfg), "--out", out])
+    assert rc == 2
+    assert "spacing must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eps", ["0", "1.0", "1.5"])
 def test_imbalance_outside_the_open_unit_interval_exits_2(tmp_path, pipeline_cfg, eps, capsys):
     out = str(tmp_path / "l.rvol")

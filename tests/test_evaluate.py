@@ -148,3 +148,6 @@ def test_matches_plain_python_pairing():
         p = ids[rng.integers(0, 5, size=shape)]
         assert evaluate(Volume(t), Volume(p)).to_dict() == evaluate_reference(t, p)
         assert evaluate(Volume(p), Volume(t)).to_dict() == evaluate_reference(p, t)
+    # no voxel is foreground in either map, so no voxel pair is counted
+    zero = np.zeros((2, 3, 4), dtype=np.uint8)
+    assert evaluate(Volume(zero), Volume(zero)).to_dict() == evaluate_reference(zero, zero)

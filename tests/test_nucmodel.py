@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nucsplit.geometry import cut_metric_weights, sphericity, volume_of
+from nucsplit.geometry import sphericity, volume_of
 from nucsplit.nucmodel import (
     Decision,
     NucleusModelParams,
@@ -35,7 +35,7 @@ def fused_comp(r=10, gap=17):
 
 
 def ctx_for(params, imbalance=0.5):
-    return ScoreContext(SPACING, cut_metric_weights(SPACING), params, imbalance)
+    return ScoreContext(SPACING, params, imbalance)
 
 
 def test_trapezoid_basic():
@@ -167,10 +167,9 @@ def test_score_function_region_boundaries():
     V/v_min shrinks crosses exactly two boundaries: v_repart and v_min."""
     fused = fused_comp()
     v = volume_of(fused, SPACING)
-    weights = cut_metric_weights(SPACING)
     for ratio in np.linspace(0.7, 1.8, 23):
         params = NucleusModelParams(v / ratio, 50.0 * v)
-        ctx = ScoreContext(SPACING, weights, params, 0.5)
+        ctx = ScoreContext(SPACING, params, 0.5)
         dec = score_function(fused, 0.3, ctx)
         if v < params.v_min:
             assert dec == (Decision.DISCARD, 0.0, None)

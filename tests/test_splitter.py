@@ -37,12 +37,7 @@ def single_component(mask, spacing=(1.0, 1.0, 1.0)):
 def make_ctx(mask, params, spacing=(1.0, 1.0, 1.0), seed=0):
     intensity = Volume(np.where(mask, 200, 20).astype(np.uint8), spacing)
     part_cfg = PartitionerConfig(seed=seed)
-    score_ctx = ScoreContext(
-        spacing=spacing,
-        weights=cut_metric_weights(spacing),
-        params=params,
-        imbalance=part_cfg.imbalance,
-    )
+    score_ctx = ScoreContext(spacing=spacing, params=params, imbalance=part_cfg.imbalance)
     return SplitContext(volume=intensity, score_ctx=score_ctx, part_cfg=part_cfg)
 
 
@@ -199,7 +194,8 @@ def test_segment_smooths_each_voxel_once(clean_scene, monkeypatch, slabs):
 
 
 def orient_xy(v, k):
-    """Bit 0 flips x, bit 1 flips y, bit 2 swaps x and y with the spacing."""
+    """Bit 0 flips x, bit 1 flips y, bit 2 swaps x and y with the spacing,
+    bit 3 flips z."""
     data, spacing = v.data, v.spacing
     if k & 1:
         data = data[:, :, ::-1]
@@ -208,10 +204,12 @@ def orient_xy(v, k):
     if k & 4:
         data = data.transpose(0, 2, 1)
         spacing = (spacing[1], spacing[0], spacing[2])
+    if k & 8:
+        data = data[::-1, :, :]
     return Volume(data, spacing)
 
 
-@pytest.mark.parametrize("k", range(8))
+@pytest.mark.parametrize("k", range(16))
 def test_segment_invariant_under_xy_flips_and_transpose(clean_scene, k):
     intensity, truth = (orient_xy(v, k) for v in clean_scene)
     result = segment(intensity, PARAMS, bin_cfg=BIN)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,12 @@ def test_volume_validation():
         Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         Volume.from_flat(np.zeros(7, dtype=np.uint8), (2, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_volume_rejects_spacing_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+        Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1.0, 1.0, bad))
 
 
 def test_voxel_volume():
