@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 from scipy.spatial import SphericalVoronoi
+from scipy.spatial.distance import pdist
 
 from .volume import Component, check_spacing, paint_component
 
@@ -47,6 +48,8 @@ DIRECTIONS_26 = np.array(
     dtype=np.int8,
 )
 
+COINCIDENT = 1e-6  # unit directions this close are one Voronoi generator (scipy's default)
+
 
 def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
     """Exact solid-angle fraction of each scaled direction's Voronoi cell.
@@ -57,7 +60,12 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
     """
     scaled = directions.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
     unit = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
-    f = SphericalVoronoi(unit).calculate_areas() / (4.0 * math.pi)
+    if pdist(unit).min() <= COINCIDENT:
+        raise ValueError(
+            f"spacing {tuple(map(float, spacing))} is too anisotropic for the cut metric: "
+            f"its scaled neighbour directions coincide"
+        )
+    f = SphericalVoronoi(unit, threshold=COINCIDENT).calculate_areas() / (4.0 * math.pi)
     antipode = np.array(
         [int(np.flatnonzero((directions == -d).all(axis=1))[0]) for d in directions]
     )

@@ -64,12 +64,10 @@ def csr_from_edges(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np
     rows = np.concatenate([eu, ev]).astype(np.int64)
     cols = np.concatenate([ev, eu]).astype(np.int64)
     wts = np.concatenate([ew, ew]).astype(np.float64)
-    order = np.lexsort((cols, rows))
-    rows, cols, wts = rows[order], cols[order], wts[order]
+    order = np.argsort(rows * n_nodes + cols)  # unique keys when each pair is listed once
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols.astype(np.int32), wts
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    return indptr, cols[order].astype(np.int32), wts[order]
 
 
 def _posteriors(values: np.ndarray, model: HistogramModel) -> np.ndarray:

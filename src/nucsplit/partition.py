@@ -1,14 +1,17 @@
 """Balanced two-way multilevel graph partitioning.
 
-The classic scheme: coarsen by heavy-edge matching until the graph is
-small, then grow initial blocks on the coarsest level and keep the best
-after FM refinement. On a coarsest level of at most 64 nodes growth
-starts from every node under both growth policies; a larger, stalled
-one starts from the two ends of a pseudo-peripheral sweep. Many starts
-grow the same block, and each distinct block is refined once. The best
-block is then refined with pass-based FM local search while projecting
-back through the levels. Balance is a hard constraint: neither block
-may exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
+The classic scheme: coarsen by matching until the graph is small, then
+grow initial blocks on the coarsest level and keep the best after FM
+refinement. Each level's matching is locally dominant under the
+expansion* edge rating w / (c(u) * c(v)), with a seeded hash of the
+node pair breaking ties, and is found in numpy rounds of mutual
+proposals. On a coarsest level of at most 64 nodes growth starts from
+every node under both growth policies; a larger, stalled one starts
+from the two ends of a pseudo-peripheral sweep. Many starts grow the
+same block, and each distinct block is refined once. The best block is
+then refined with pass-based FM local search while projecting back
+through the levels. Balance is a hard constraint: neither block may
+exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
 voxels at every level via aggregated node weights.
 """
 
@@ -81,40 +84,56 @@ def _cut_of(lv: _Level, side: np.ndarray) -> float:
     return float(lv.weights[crossing].sum() / 2.0)
 
 
-def _match_level(lv: _Level, cap: int, rng: np.random.Generator) -> Tuple[np.ndarray, int]:
-    """Greedy heavy-edge matching over a seeded random visit order.
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer: a bijection of uint64 that scatters nearby keys."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Ties on edge weight break toward the lowest neighbor id. Pairs whose
-    combined node weight would exceed ``cap`` are not matched so the
-    coarsest level always admits a balanced partition.
+
+def _match_level(lv: _Level, cap: int, rng: np.random.Generator) -> Tuple[np.ndarray, int]:
+    """Locally dominant matching, in numpy rounds over the CSR entries.
+
+    An edge is eligible when its two nodes weigh at most ``cap`` together,
+    so the coarsest level always admits a balanced partition. Eligible
+    edges are rated by expansion* ``w / (c(u) * c(v))`` (Holtgrewe, Sanders
+    and Schulz, IPDPS 2010), which favours light nodes and keeps coarse
+    levels matching well. Equal ratings are ordered by a seeded hash of
+    the node pair, so the order is strict and the same from both ends.
+    Each round, every free node proposes to its best eligible neighbour,
+    mutual proposals are matched and edges touching a matched node drop
+    out. The best remaining edge is always mutual, so the rounds end with
+    a maximal matching (Birn et al., Euro-Par 2013).
     """
     n = lv.n
-    ptr = lv.indptr.tolist()
-    idx = lv.indices.tolist()
-    wts = lv.weights.tolist()
-    nw = lv.node_w.tolist()
-    mate = [-1] * n
-    pairs = 0
-    for u in rng.permutation(n).tolist():
-        if mate[u] >= 0:
-            continue
-        wu = nw[u]
-        best = -1
-        best_w = -1.0
-        for j in range(ptr[u], ptr[u + 1]):
-            v = idx[j]
-            if mate[v] >= 0 or wu + nw[v] > cap:
-                continue
-            w = wts[j]
-            # id-sorted neighbors: ties on weight keep the lowest id
-            if w > best_w:
-                best_w = w
-                best = v
-        if best >= 0:
-            mate[u] = best
-            mate[best] = u
-            pairs += 1
-    return np.array(mate, dtype=np.int64), pairs
+    nw = lv.node_w
+    salt = rng.integers(np.iinfo(np.uint64).max, dtype=np.uint64, endpoint=True)
+    rows, cols = lv.rows, lv.indices
+    ok = (rows != cols) & (nw[rows] + nw[cols] <= cap)
+    rows, cols = rows[ok], cols[ok]
+    rating = lv.weights[ok] / (nw[rows] * nw[cols])
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    tie = _mix64(pair.astype(np.uint64) ^ salt)  # unique per edge: a bijection of the pair
+    mate = np.full(n, -1, dtype=np.int64)
+    while len(rows):
+        # rows stay sorted, so each free node's entries are one segment
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        counts = np.diff(np.r_[starts, len(rows)])
+        top = rating == np.repeat(np.maximum.reduceat(rating, starts), counts)
+        best_tie = np.maximum.reduceat(np.where(top, tie, np.uint64(0)), starts)
+        best = top & (tie == np.repeat(best_tie, counts))
+        proposal = np.full(n, -1, dtype=np.int64)
+        proposal[rows[best]] = cols[best]
+        u = rows[starts]
+        v = proposal[u]
+        mutual = proposal[v] == u
+        if not mutual.any():
+            break  # unreachable with a strict order; never spin
+        mate[u[mutual]] = v[mutual]
+        free = mate < 0
+        alive = free[rows] & free[cols]
+        rows, cols, rating, tie = rows[alive], cols[alive], rating[alive], tie[alive]
+    return mate, int((mate >= 0).sum()) // 2
 
 
 def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:

@@ -178,6 +178,55 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     return best_cut, w0_hist[best_len], best_len > 0
 
 
+def greedy_match(lv, cap: int, rng: np.random.Generator) -> Tuple[np.ndarray, int]:
+    """Greedy heavy-edge matching over a seeded random visit order.
+
+    Ties on edge weight break toward the lowest neighbor id. Pairs whose
+    combined node weight would exceed ``cap`` are not matched so the
+    coarsest level always admits a balanced partition.
+    """
+    n = lv.n
+    ptr = lv.indptr.tolist()
+    idx = lv.indices.tolist()
+    wts = lv.weights.tolist()
+    nw = lv.node_w.tolist()
+    mate = [-1] * n
+    pairs = 0
+    for u in rng.permutation(n).tolist():
+        if mate[u] >= 0:
+            continue
+        wu = nw[u]
+        best = -1
+        best_w = -1.0
+        for j in range(ptr[u], ptr[u + 1]):
+            v = idx[j]
+            if mate[v] >= 0 or wu + nw[v] > cap:
+                continue
+            w = wts[j]
+            # id-sorted neighbors: ties on weight keep the lowest id
+            if w > best_w:
+                best_w = w
+                best = v
+        if best >= 0:
+            mate[u] = best
+            mate[best] = u
+            pairs += 1
+    return np.array(mate, dtype=np.int64), pairs
+
+
+def csr_from_edges_lexsort(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR adjacency, ordered by a two-key lexsort and counted with ``np.add.at``."""
+    rows = np.concatenate([eu, ev]).astype(np.int64)
+    cols = np.concatenate([ev, eu]).astype(np.int64)
+    wts = np.concatenate([ew, ew]).astype(np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, wts = rows[order], cols[order], wts[order]
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols.astype(np.int32), wts
+
+
 def _plurality(overlap: Dict[Tuple[int, int], int]) -> Dict[int, int]:
     """For each key a, the partner b with the most voxels; ties -> smaller b."""
     best: Dict[int, Tuple[int, int]] = {}

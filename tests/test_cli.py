@@ -368,6 +368,15 @@ def test_infinite_spacing_in_the_header_exits_2(tmp_path, pipeline_cfg, capsys):
     assert "spacing must be finite and > 0" in capsys.readouterr().err
 
 
+def test_spacing_too_anisotropic_for_the_cut_metric_exits_2(tmp_path, pipeline_cfg, capsys):
+    vol = tmp_path / "flat.rvol"
+    write_rvol(vol, Volume(np.full((4, 8, 8), 37, dtype=np.uint16), (1.0, 1.0, 1e6)))
+    out = str(tmp_path / "l.rvol")
+    rc = cli_main(["segment", "--in", str(vol), "--config", str(pipeline_cfg), "--out", out])
+    assert rc == 2
+    assert "spacing (1.0, 1.0, 1000000.0) is too anisotropic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eps", ["0", "1.0", "1.5"])
 def test_imbalance_outside_the_open_unit_interval_exits_2(tmp_path, pipeline_cfg, eps, capsys):
     out = str(tmp_path / "l.rvol")

@@ -95,6 +95,12 @@ def test_weights_positive():
             cut_metric_weights(bad)
 
 
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1e6), (1e6, 1.0, 1.0), (1.0, 1e-6, 1.0)])
+def test_spacing_too_anisotropic_for_the_cut_metric_is_named(spacing):
+    with pytest.raises(ValueError, match=r"spacing \(.*\) is too anisotropic for the cut metric"):
+        cut_metric_weights(spacing)
+
+
 def test_weight_table_allocates_little():
     tracemalloc.start()
     try:

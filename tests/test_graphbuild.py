@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph
+import nucsplit.graphbuild as graphbuild
+from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph, csr_from_edges
 from nucsplit.histmodel import HistogramModel, background_posterior
 from nucsplit.partition import _cut_of, _Level
 from nucsplit.volume import Component, Volume, connected_components
-from oracles import cut_weight, edge_arrays
+from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays
 
 
 def comps_of(mask, spacing=(1.0, 1.0, 1.0)):
@@ -171,6 +172,44 @@ def test_scan_order_nodes_and_determinism():
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
     assert np.array_equal(g1.weights, g2.weights)
+
+
+def assert_same_csr(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_csr_matches_the_lexsort_version():
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n = int(rng.integers(1, 80))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        rng.shuffle(pairs)
+        flip = rng.random(len(pairs)) < 0.5  # either end may come first
+        pairs[flip] = pairs[flip, ::-1]
+        eu, ev = pairs[:, 0].astype(np.int32), pairs[:, 1]
+        ew = rng.uniform(0.1, 2.0, size=len(pairs))
+        assert_same_csr(csr_from_edges(n, eu, ev, ew), csr_from_edges_lexsort(n, eu, ev, ew))
+
+
+def test_build_graph_csr_matches_the_lexsort_version(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append((args, csr_from_edges(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(graphbuild, "csr_from_edges", recording)
+    rng = np.random.default_rng(5)
+    mask = rng.random((6, 7, 8)) < 0.7
+    v = Volume(rng.integers(0, 255, size=mask.shape).astype(np.uint8), (1.0, 1.0, 2.5))
+    comp = max(comps_of(mask, v.spacing), key=lambda c: len(c.coords))
+    g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=20.0))
+    (args, got), = calls
+    assert_same_csr((g.indptr, g.indices, g.weights), got)
+    assert_same_csr(got, csr_from_edges_lexsort(*args))
 
 
 def test_cut_weight_against_direct_sum():
