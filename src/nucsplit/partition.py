@@ -13,6 +13,14 @@ then refined with pass-based FM local search while projecting back
 through the levels. Balance is a hard constraint: neither block may
 exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
 voxels at every level via aggregated node weights.
+
+FM (Fiduccia and Mattheyses, DAC 1982) keeps its state for a whole
+level: each node's edge weight to either block, the boundary set and
+the cut are set up once and carried from pass to pass, and after a
+pass only the moved nodes and their neighbours are recounted. A pass
+builds its heap from the boundary alone and stops after FM_STALL moves
+without a new best cut, the fixed cap of METIS (Karypis and Kumar,
+SIAM J. Sci. Comput. 1998).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
 
 COARSEN_FLOOR = 40  # coarsening stops at this many nodes
 FM_PASSES = 10  # most FM passes per level
+FM_STALL = 100  # an FM pass stops after this many moves without a new best cut
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class Bipartition:
 
 
 class _Level:
-    __slots__ = ("indptr", "indices", "weights", "node_w", "rows", "cmap")
+    __slots__ = ("indptr", "indices", "weights", "node_w", "rows", "cmap", "view")
 
     def __init__(self, indptr, indices, weights, node_w):
         self.indptr = indptr
@@ -73,10 +82,20 @@ class _Level:
         self.node_w = node_w
         self.rows = np.repeat(np.arange(len(node_w), dtype=np.int64), np.diff(indptr))
         self.cmap = None  # fine -> coarse node map, set when coarsened
+        self.view = None  # the lists() tuple once built
 
     @property
     def n(self) -> int:
         return len(self.node_w)
+
+    def lists(self):
+        """indptr, indices, weights, node weights and weighted degrees as
+        Python lists, built on first use and shared by growth, BFS and FM."""
+        if self.view is None:
+            deg_w = np.bincount(self.rows, weights=self.weights, minlength=self.n)
+            arrays = (self.indptr, self.indices, self.weights, self.node_w, deg_w)
+            self.view = tuple(a.tolist() for a in arrays)
+        return self.view
 
 
 def _cut_of(lv: _Level, side: np.ndarray) -> float:
@@ -162,8 +181,7 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
 
 
 def _bfs_farthest(lv: _Level, start: int) -> Tuple[int, int]:
-    ptr = lv.indptr.tolist()
-    idx = lv.indices.tolist()
+    ptr, idx = lv.lists()[:2]
     dist = [-1] * lv.n
     dist[start] = 0
     q = deque([start])
@@ -203,9 +221,7 @@ def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarra
     FIFO order.
     """
     n = lv.n
-    ptr, idx, wts = lv.indptr.tolist(), lv.indices.tolist(), lv.weights.tolist()
-    deg_w = np.bincount(lv.rows, weights=lv.weights, minlength=n).tolist()
-    nw = lv.node_w.tolist()
+    ptr, idx, wts, nw, deg_w = lv.lists()
     in_region = [False] * n
     w_region = [0.0] * n  # edge weight from each outside node into the region
 
@@ -247,33 +263,103 @@ def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarra
     return np.logical_not(in_region).astype(np.uint8)
 
 
-def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
-    """One FM pass that leaves ``side`` at its best prefix of moves. Per-node
-    state is kept in lists; a moved node's neighbours are read as one slice."""
-    n = lv.n
-    same = side[lv.rows] == side[lv.indices]
-    ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=n)
-    intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=n)
-    gain = ext - intw
-    boundary = np.flatnonzero(ext > 0)
-    heap = list(zip((-gain[boundary]).tolist(), boundary.tolist()))
-    heapq.heapify(heap)
-    ext, intw, gain = ext.tolist(), intw.tolist(), gain.tolist()
-    sides = side.tolist()
-    moved = [False] * n
-    node_w, ptr, idx, wts = lv.node_w, lv.indptr, lv.indices, lv.weights
+def _row_entries(indptr: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the rows of ``nodes``, in order, and each one's index into ``nodes``."""
+    start = indptr[nodes]
+    count = indptr[nodes + 1] - start
+    local = np.repeat(np.arange(len(nodes)), count)
+    return np.arange(len(local)) + np.repeat(start - (np.cumsum(count) - count), count), local
+
+
+class _FMState:
+    """FM state of one level, kept from pass to pass.
+
+    ``ext``/``intw`` hold each node's edge weight to the other block and
+    to its own, and ``boundary`` the nodes with ``ext > 0``. All three
+    equal a fresh bincount over ``sides`` bit for bit: after a pass that
+    moved few nodes, the moved nodes and their neighbours are recounted,
+    each row summed in CSR order as ``np.bincount`` sums it, so a pass
+    costs what its moves cost, not the level's size. ``side`` is the
+    caller's array, kept in step with the list ``sides``.
+    """
+
+    __slots__ = ("lv", "side", "sides", "ext", "intw", "boundary", "moved", "w0", "cut", "total_w", "max_side_w",
+                 "csr", "as_lists")
+
+    def __init__(self, lv: _Level, side: np.ndarray, total_w: int, max_side_w: int):
+        self.lv = lv
+        self.side = side
+        self.sides = side.tolist()
+        self.count_all()
+        self.moved = [False] * lv.n
+        self.w0 = int(lv.node_w[side == 0].sum())
+        self.cut = _cut_of(lv, side)
+        self.total_w = total_w
+        self.max_side_w = max_side_w
+        # the coarsest level's list view is shared with growth; a finer level
+        # keeps its neighbours in numpy and is read in slices, never converted whole
+        self.as_lists = lv.view is not None
+        if self.as_lists:
+            self.csr = lv.view[:4]
+        else:
+            self.csr = (lv.indptr.tolist(), lv.indices, lv.weights, lv.node_w.tolist())
+
+    def count_all(self) -> None:
+        lv, side = self.lv, self.side
+        same = side[lv.rows] == side[lv.indices]
+        ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=lv.n)
+        intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=lv.n)
+        self.ext, self.intw = ext.tolist(), intw.tolist()
+        self.boundary = set(np.flatnonzero(ext > 0).tolist())
+
+    def recount(self, moved: List[int]) -> None:
+        """Make the state exact again after the ``moved`` nodes changed sides."""
+        lv, side = self.lv, self.side
+        # a whole-level bincount costs as much as recounting the touched rows
+        # once 1/32 (3k nodes) to 1/8 (145k nodes) of the level has moved
+        if len(moved) * 16 > lv.n:
+            self.count_all()
+            return
+        pos, _ = _row_entries(lv.indptr, np.asarray(moved))
+        touched = np.zeros(lv.n, dtype=bool)
+        touched[moved] = True
+        touched[lv.indices[pos]] = True
+        nodes = np.flatnonzero(touched)
+        pos, rows = _row_entries(lv.indptr, nodes)
+        same = side[lv.rows[pos]] == side[lv.indices[pos]]
+        wts = lv.weights[pos]
+        ext = np.bincount(rows[~same], weights=wts[~same], minlength=len(nodes))
+        intw = np.bincount(rows[same], weights=wts[same], minlength=len(nodes))
+        for v, e, i in zip(nodes.tolist(), ext.tolist(), intw.tolist()):
+            self.ext[v] = e
+            self.intw[v] = i
+        self.boundary.difference_update(nodes[ext <= 0].tolist())
+        self.boundary.update(nodes[ext > 0].tolist())
+
+
+def _fm_pass(st: _FMState, stall_limit: int) -> bool:
+    """One FM pass from the boundary nodes; it stops after ``stall_limit``
+    moves without a new best cut and keeps the best prefix of its moves.
+    Returns whether it kept any."""
+    ptr, idx, wts, node_w = st.csr
+    as_lists = st.as_lists
+    sides, ext, intw, moved = st.sides, st.ext, st.intw, st.moved
+    total_w, max_side_w = st.total_w, st.max_side_w
+    heap = [(intw[u] - ext[u], u) for u in st.boundary]
+    heapq.heapify(heap)  # pops in (-gain, id) order, whatever the set's order
 
     hist: List[int] = []
-    cur = cut
-    best_cut = cut
+    w0 = st.w0
+    cur = best_cut = st.cut
     best_len = 0
     w0_hist = [w0]
     fruitless = 0
     while heap and fruitless < stall_limit:
         neg_g, u = heapq.heappop(heap)
-        if moved[u] or -neg_g != gain[u] or ext[u] <= 0:
+        g = ext[u] - intw[u]
+        if moved[u] or -neg_g != g or ext[u] <= 0:
             continue  # stale heap entry or no longer a boundary node
-        wu = int(node_w[u])
+        wu = node_w[u]
         su = sides[u]
         new_w0 = w0 - wu if su == 0 else w0 + wu
         if new_w0 < 1 or total_w - new_w0 < 1 or max(new_w0, total_w - new_w0) > max_side_w:
@@ -282,7 +368,7 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
         sides[u] = su
         moved[u] = True
         w0 = new_w0
-        cur -= gain[u]
+        cur -= g
         hist.append(u)
         w0_hist.append(w0)
         if cur < best_cut - 1e-12:
@@ -292,7 +378,10 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
         else:
             fruitless += 1
         a, b = ptr[u], ptr[u + 1]
-        for v, w in zip(idx[a:b].tolist(), wts[a:b].tolist()):
+        nbrs, nbr_w = idx[a:b], wts[a:b]
+        if not as_lists:
+            nbrs, nbr_w = nbrs.tolist(), nbr_w.tolist()
+        for v, w in zip(nbrs, nbr_w):
             if moved[v]:
                 continue
             if sides[v] == su:
@@ -301,25 +390,28 @@ def _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
             else:
                 ext[v] += w
                 intw[v] -= w
-            g = ext[v] - intw[v]
-            gain[v] = g
             if ext[v] > 0:
-                heapq.heappush(heap, (-g, v))
+                heapq.heappush(heap, (intw[v] - ext[v], v))
         ext[u], intw[u] = intw[u], ext[u]
-        gain[u] = -gain[u]
 
-    keep = hist[:best_len]  # each node moves at most once per pass
-    side[keep] = 1 - side[keep]
-    return best_cut, w0_hist[best_len], best_len > 0
+    for u in hist[best_len:]:  # each node moves at most once per pass
+        sides[u] = 1 - sides[u]
+    for u in hist:
+        moved[u] = False
+    keep = hist[:best_len]
+    st.side[keep] = 1 - st.side[keep]
+    st.w0 = w0_hist[best_len]
+    st.cut = best_cut
+    if hist:
+        st.recount(hist)
+    return best_len > 0
 
 
-def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int):
-    w0 = int(lv.node_w[side == 0].sum())
-    stall_limit = max(200, lv.n // 50)
+def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int) -> None:
+    st = _FMState(lv, side, total_w, max_side_w)
     for _ in range(FM_PASSES):
-        cut = _cut_of(lv, side)
-        new_cut, w0, changed = _fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut)
-        if not changed or new_cut >= cut - 1e-12:
+        cut = st.cut
+        if not _fm_pass(st, FM_STALL) or st.cut >= cut - 1e-12:
             break
 
 

@@ -7,6 +7,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from nucsplit.graphbuild import ComponentGraph, csr_from_edges
+from nucsplit.partition import _cut_of
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -176,6 +177,19 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     for u in hist[best_len:][::-1]:
         side[u] = 1 - side[u]
     return best_cut, w0_hist[best_len], best_len > 0
+
+
+def fm_refine(lv, side, total_w, max_side_w, stall_limit, passes):
+    """The partitioner's FM refinement of one level: ``fm_pass`` until a pass
+    keeps no move or no longer lowers the cut, each pass starting from the
+    cut the last one returned."""
+    w0 = int(lv.node_w[side == 0].sum())
+    cut = _cut_of(lv, side)
+    for _ in range(passes):
+        new_cut, w0, changed = fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut)
+        if not changed or new_cut >= cut - 1e-12:
+            break
+        cut = new_cut
 
 
 def greedy_match(lv, cap: int, rng: np.random.Generator) -> Tuple[np.ndarray, int]:

@@ -35,6 +35,7 @@ from nucsplit.partition import (
     PartitionerConfig,
     _cut_of,
     _fm_pass,
+    _FMState,
     _Level,
     bipartition,
     split_blocks,
@@ -215,8 +216,9 @@ def test_criterion_5_partitioner_oracle():
         side = np.zeros(n, dtype=np.uint8)
         side[rng.permutation(n)[: n // 2]] = 1
         before = _cut_of(lv, side)
-        w0 = float(n - side.sum())
-        after, _, _ = _fm_pass(lv, side, w0, float(n), float(max_side), 200, before)
+        st = _FMState(lv, side, n, max_side)
+        _fm_pass(st, 200)
+        after = st.cut
         if after <= before + 1e-9:
             fm_monotone += 1
     check(

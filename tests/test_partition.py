@@ -7,10 +7,14 @@ import pytest
 import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph
 from nucsplit.partition import (
+    FM_PASSES,
+    FM_STALL,
     Bipartition,
     PartitionerConfig,
     _cut_of,
     _fm_pass,
+    _fm_refine,
+    _FMState,
     _grow_initial,
     _Level,
     _match_level,
@@ -22,6 +26,7 @@ from oracles import (
     cut_weight,
     edge_arrays,
     fm_pass,
+    fm_refine,
     graph_from_edge_list,
     greedy_match,
     grow_initial,
@@ -139,13 +144,13 @@ def test_fm_pass_never_increases_cut():
         side[rng.permutation(n)[: n // 2]] = 1
         ceil_half = (n + 1) // 2
         max_w = math.floor(1.5 * ceil_half + 1e-9)
-        w0 = int((side == 0).sum())
+        st = _FMState(lv, side, n, max_w)
         for _ in range(4):
-            cut = _cut_of(lv, side)
-            new_cut, w0, _changed = _fm_pass(lv, side, w0, n, max_w, 200, cut)
-            assert new_cut <= cut + 1e-9
-            assert new_cut == pytest.approx(_cut_of(lv, side))
-            assert max(w0, n - w0) <= max_w
+            cut = st.cut
+            _fm_pass(st, 200)
+            assert st.cut <= cut + 1e-9
+            assert st.cut == pytest.approx(_cut_of(lv, side))
+            assert max(st.w0, n - st.w0) <= max_w
 
 
 def test_deterministic_for_fixed_seed():
@@ -339,15 +344,95 @@ def test_growth_and_fm_pass_match_the_numpy_oracle():
         side = rng.integers(0, 2, size=lv.n).astype(np.uint8)
         side[:2] = (0, 1)
         ref = side.copy()
-        w0 = int(lv.node_w[side == 0].sum())
+        st = _FMState(lv, side, total_w, max_w)
+        cut, w0 = st.cut, st.w0
         stall_limit = int(rng.integers(1, 6))  # small limits exercise the rollback
-        for _ in range(3):
-            cut = _cut_of(lv, side)
-            got = _fm_pass(lv, side, w0, total_w, max_w, stall_limit, cut)
+        for _ in range(3):  # each pass starts from the state the last one left
+            changed = _fm_pass(st, stall_limit)
             want = fm_pass(lv, ref, w0, total_w, max_w, stall_limit, cut)
-            assert got == want
+            assert (st.cut, st.w0, changed) == want
             assert np.array_equal(side, ref)
-            w0 = got[1]
+            cut, w0 = want[:2]
+
+
+def grid_level(rng, shape):
+    """A voxel grid's 6-neighbour graph with random smooth edge weights."""
+    ids = np.arange(math.prod(shape)).reshape(shape)
+    pairs = [(ids[:-1], ids[1:]), (ids[:, :-1], ids[:, 1:]), (ids[:, :, :-1], ids[:, :, 1:])]
+    eu = np.concatenate([a.ravel() for a, _ in pairs])
+    ev = np.concatenate([b.ravel() for _, b in pairs])
+    ew = rng.uniform(0.1, 2.0, size=len(eu))
+    g = graph_from_edge_list(ids.size, zip(eu.tolist(), ev.tolist(), ew.tolist()))
+    return _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(ids.size, np.int64))
+
+
+def noisy_slab_split(rng, shape, flip=0.05):
+    """Sides split at the middle of the first axis, with a share of the
+    nodes within two layers of the split flipped, so FM has work to do."""
+    layer = np.arange(shape[0])[:, None, None] + np.zeros(shape, dtype=np.int64)
+    side = (layer >= shape[0] // 2).astype(np.uint8).ravel()
+    near = np.abs(layer.ravel() - shape[0] // 2 + 0.5) < 2
+    side[near & (rng.random(side.size) < flip)] ^= 1
+    return side
+
+
+def test_fm_state_stays_a_fresh_bincount_after_every_pass(monkeypatch):
+    calls = {"count_all": 0, "recount": 0}
+    for name in calls:
+        real = getattr(_FMState, name)
+
+        def spy(st, *args, name=name, real=real):
+            calls[name] += 1
+            return real(st, *args)
+
+        monkeypatch.setattr(_FMState, name, spy)
+    rng = np.random.default_rng(12)
+    levels = [(weighted_level(rng), None) for _ in range(30)]
+    levels += [(grid_level(rng, (16, 12, 12)), (16, 12, 12)) for _ in range(2)]
+    for lv, _ in levels[::2]:
+        lv.lists()  # FM reads a level with a list view through it, as on the coarsest level
+    for lv, shape in levels:
+        total_w = int(lv.node_w.sum())
+        max_w = math.floor(1.5 * ((total_w + 1) // 2) + 1e-9)
+        if shape is None:
+            side = rng.integers(0, 2, size=lv.n).astype(np.uint8)
+            side[:2] = (0, 1)
+        else:
+            side = noisy_slab_split(rng, shape)
+        st = _FMState(lv, side, total_w, max_w)
+        for _ in range(4):
+            _fm_pass(st, int(rng.integers(1, 201)))
+            same = side[lv.rows] == side[lv.indices]
+            ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=lv.n)
+            intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=lv.n)
+            assert np.array(st.ext).tobytes() == ext.tobytes()
+            assert np.array(st.intw).tobytes() == intw.tobytes()
+            assert st.sides == side.tolist()
+            assert st.boundary == set(np.flatnonzero(ext > 0).tolist())
+            assert st.w0 == int(lv.node_w[side == 0].sum())
+            assert not any(st.moved)
+    whole = calls["count_all"] - len(levels)  # each state counts its whole level once at the start
+    assert whole > 0  # passes that moved many nodes recount the whole level
+    assert calls["recount"] > whole  # the others only the moved nodes and their neighbours
+
+
+def test_fm_refine_stops_after_fm_stall_fruitless_moves():
+    """On a level of more than 10k nodes, where the former rule max(200, n // 50)
+    allowed more fruitless moves, refinement matches the oracle at FM_STALL."""
+    shape = (24, 24, 20)
+    rng = np.random.default_rng(3)
+    lv = grid_level(rng, shape)
+    assert lv.n > 10_000 and lv.n // 50 > 200
+    start = noisy_slab_split(rng, shape, flip=0.5)
+    max_w = math.floor(1.5 * ((lv.n + 1) // 2) + 1e-9)
+    got = start.copy()
+    _fm_refine(lv, got, lv.n, max_w)
+    want = start.copy()
+    fm_refine(lv, want, lv.n, max_w, FM_STALL, FM_PASSES)
+    assert np.array_equal(got, want)
+    former = start.copy()
+    fm_refine(lv, former, lv.n, max_w, lv.n // 50, FM_PASSES)
+    assert not np.array_equal(got, former)
 
 
 def matching_level(rng, cap_range):
