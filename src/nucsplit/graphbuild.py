@@ -39,17 +39,19 @@ class ComponentGraph:
     """Compressed sparse adjacency over scan-ordered component voxels.
 
     Node i corresponds to node_coords[i]; indptr/indices/weights hold
-    both directions of every undirected edge.
+    both directions of every undirected edge. ``cells`` holds each
+    node's dense cell id on a voxel graph and is None on an abstract one.
     """
 
-    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count")
+    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count", "cells")
 
-    def __init__(self, node_coords, indptr, indices, weights):
+    def __init__(self, node_coords, indptr, indices, weights, cells=None):
         self.node_coords = node_coords
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.edge_count = len(indices) // 2
+        self.cells = cells
 
     @property
     def n_nodes(self) -> int:
@@ -126,4 +128,11 @@ def build_graph(
     ev = np.concatenate(vs)
     ew = np.concatenate(ws)
     indptr, indices, weights = csr_from_edges(len(coords), eu, ev, ew)
-    return ComponentGraph(coords, indptr, indices, weights)
+
+    spacing = np.asarray(v.spacing)
+    block = np.where(spacing < 2.0 * spacing.min(), 2, 1)
+    cell = rel.astype(np.int64) // block
+    cell_shape = shape // block + 1
+    key = (cell[:, 2] * cell_shape[1] + cell[:, 1]) * cell_shape[0] + cell[:, 0]
+    cells = np.unique(key, return_inverse=True)[1]
+    return ComponentGraph(coords, indptr, indices, weights, cells)

@@ -2,10 +2,13 @@
 
 The classic scheme: coarsen by matching until the graph is small, then
 grow initial blocks on the coarsest level and keep the best after FM
-refinement. Each level's matching is locally dominant under the
-expansion* edge rating w / (c(u) * c(v)), with a seeded hash of the
-node pair breaking ties, and is found in numpy rounds of mutual
-proposals. On a coarsest level of at most 64 nodes growth starts from
+refinement. A voxel graph is first contracted into its cells, the
+voxels sharing a 2-voxel block along each short axis (see graphbuild),
+unless a cell outweighs the matching's cap or the cells shrink the
+graph by less than the 5% below which the matching counts as stalled.
+Each level's matching is locally dominant under the expansion* edge
+rating w / (c(u) * c(v)), with a seeded hash of the node pair breaking
+ties, and is found in numpy rounds of mutual proposals. On a coarsest level of at most 64 nodes growth starts from
 every node under both growth policies; a larger, stalled one starts
 from the two ends of a pseudo-peripheral sweep. Many starts grow the
 same block, and each distinct block is refined once. The best block is
@@ -155,16 +158,23 @@ def _match_level(lv: _Level, cap: int, rng: np.random.Generator) -> Tuple[np.nda
     return mate, int((mate >= 0).sum()) // 2
 
 
-def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
-    n = lv.n
+def _matching_map(mate: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Fine -> coarse map of a matching: each pair and each unmatched node
+    becomes one coarse node, numbered in the order of its lower id."""
+    n = len(mate)
     ids = np.arange(n, dtype=np.int64)
     is_rep = (mate < 0) | (ids < mate)
     cmap = np.empty(n, dtype=np.int64)
     n_coarse = int(is_rep.sum())
     cmap[is_rep] = np.arange(n_coarse, dtype=np.int64)
     cmap[~is_rep] = cmap[mate[~is_rep]]
-    lv.cmap = cmap
+    return cmap, n_coarse
 
+
+def _contract(lv: _Level, cmap: np.ndarray, n_coarse: int) -> _Level:
+    """The level whose node c merges the nodes mapped to c: node weights
+    add up, and so do the weights of the edges between two coarse nodes."""
+    lv.cmap = cmap
     half = lv.rows < lv.indices
     eu = cmap[lv.rows[half]]
     ev = cmap[lv.indices[half]]
@@ -430,14 +440,24 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
     ceil_half = (n + 1) // 2
     max_side_w = int(math.floor((1.0 + cfg.imbalance) * ceil_half + 1e-9))
     cap = max(2, int(cfg.imbalance * ceil_half))
+    if cap > max_side_w - ceil_half + 1:
+        # growth stops at the first node that reaches ceil_half, so a coarse
+        # node heavier than the slack plus one could overshoot the bound
+        cap = 1
 
     levels = [base]
+    if g.cells is not None and n > COARSEN_FLOOR:
+        cell_w = np.bincount(g.cells)
+        # a cell heavier than the cap could unbalance the coarsest level, and
+        # cells that barely shrink the level fail the matching's stall rule
+        if cell_w.max() <= cap and len(cell_w) <= 0.95 * n:
+            levels.append(_contract(base, g.cells, len(cell_w)))
     while levels[-1].n > COARSEN_FLOOR:
         lv = levels[-1]
         mate, pairs = _match_level(lv, cap, rng)
         if pairs == 0 or lv.n - pairs > 0.95 * lv.n:
             break  # matching stalled
-        levels.append(_coarsen(lv, mate))
+        levels.append(_contract(lv, *_matching_map(mate)))
 
     coarsest = levels[-1]
     side = None

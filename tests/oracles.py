@@ -228,6 +228,23 @@ def greedy_match(lv, cap: int, rng: np.random.Generator) -> Tuple[np.ndarray, in
     return np.array(mate, dtype=np.int64), pairs
 
 
+def contract(lv, cmap, n_coarse: int) -> Tuple[List[int], Dict[Tuple[int, int], float]]:
+    """Coarse node weights and coarse edges ``{(a, b): weight}`` with a < b,
+    summed one fine node and one fine edge at a time."""
+    node_w = [0] * n_coarse
+    for u, c in enumerate(cmap.tolist()):
+        node_w[c] += int(lv.node_w[u])
+    edges: Dict[Tuple[int, int], float] = {}
+    ptr, idx, wts = lv.indptr.tolist(), lv.indices.tolist(), lv.weights.tolist()
+    for u in range(lv.n):
+        for j in range(ptr[u], ptr[u + 1]):
+            a, b = int(cmap[u]), int(cmap[idx[j]])
+            if u < idx[j] and a != b:
+                key = (min(a, b), max(a, b))
+                edges[key] = edges.get(key, 0.0) + wts[j]
+    return node_w, edges
+
+
 def csr_from_edges_lexsort(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric CSR adjacency, ordered by a two-key lexsort and counted with ``np.add.at``."""
     rows = np.concatenate([eu, ev]).astype(np.int64)

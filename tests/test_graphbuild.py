@@ -8,7 +8,7 @@ from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph, c
 from nucsplit.histmodel import HistogramModel, background_posterior
 from nucsplit.partition import _cut_of, _Level
 from nucsplit.volume import Component, Volume, connected_components
-from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays
+from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays, graph_from_edge_list
 
 
 def comps_of(mask, spacing=(1.0, 1.0, 1.0)):
@@ -226,3 +226,37 @@ def test_cut_weight_against_direct_sum():
 def test_empty_component_rejected():
     with pytest.raises(ValueError):
         Component(np.empty((0, 3), dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "spacing, block",
+    [
+        ((1.0, 1.0, 1.0), (2, 2, 2)),
+        ((1.0, 1.0, 5.0), (2, 2, 1)),
+        ((1.0, 1.9, 1.0), (2, 2, 2)),
+        ((2.0, 1.0, 1.0), (1, 2, 2)),
+    ],
+)
+def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
+    rng = np.random.default_rng(5)
+    mask = rng.random((7, 9, 8)) < 0.6
+    v = Volume(np.zeros(mask.shape, np.uint8), spacing)
+    block = np.array(block)
+    checked = 0
+    for comp in comps_of(mask, spacing):
+        g = build_graph(comp, v)
+        cells, coords = g.cells, comp.coords
+        k = int(cells.max()) + 1
+        assert np.array_equal(np.unique(cells), np.arange(k))  # dense ids 0..k-1
+        assert np.bincount(cells).sum() == g.n_nodes
+        for c in range(k):
+            assert (np.ptp(coords[cells == c], axis=0) < block).all()  # within one block
+        # voxels share a cell exactly when they share a block of the component's grid
+        boxes = [tuple(b) for b in ((coords - coords.min(axis=0)) // block).tolist()]
+        assert len(set(zip(cells.tolist(), boxes))) == len(set(boxes)) == k
+        checked += k < g.n_nodes
+    assert checked > 0
+
+
+def test_abstract_graphs_have_no_cells():
+    assert graph_from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)]).cells is None

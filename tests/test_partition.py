@@ -11,6 +11,7 @@ from nucsplit.partition import (
     FM_STALL,
     Bipartition,
     PartitionerConfig,
+    _contract,
     _cut_of,
     _fm_pass,
     _fm_refine,
@@ -18,11 +19,13 @@ from nucsplit.partition import (
     _grow_initial,
     _Level,
     _match_level,
+    _matching_map,
     bipartition,
     split_blocks,
 )
 from nucsplit.volume import Component, Volume, connected_components
 from oracles import (
+    contract,
     cut_weight,
     edge_arrays,
     fm_pass,
@@ -270,6 +273,8 @@ def test_disconnected_graph_zero_cut():
 # with n <= 16 never coarsen, and star_chain's matching stalls at once, so
 # those digests predate the numpy matching. It re-recorded random50 (cut
 # 205.33 -> 208.13) and grid (48.0 -> 48.0, blocks 336/240 -> 192/384).
+# grid is the only voxel graph, so only it has cells; contracting them
+# first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432).
 REFERENCE_DIGESTS = {
     "random4": "9913b375daf7c31a4e38732e7f99c34b9d3d70ce637382251d6cf24f19a42354",
     "random5": "29b5531e3f5cd676cced3146be66df2c25290f1ad2e1d064c68c3710ddb42b1e",
@@ -285,7 +290,7 @@ REFERENCE_DIGESTS = {
     "random15": "502ea6bb3b47855d486fbb299d946e99f3123e6901592c0f4d3801f665524087",
     "random16": "576feb16c886bc81103ebda55acb9ccf443a08e33a0a7844b018bc8b09d7de70",
     "random50": "d517898b248e3d2156cd049aa698b53ab0c816838d169a7ac7dace835b4a307e",
-    "grid": "b0dc9173bc84d0017f4877b912d980ffa0b2e7cf34a5ce4f8a9fe85808a755ba",
+    "grid": "b9b093e0a11bd75083cdb5ccf8c1e58a7d84fd7cb7cef7f1c83c001bf046c4b4",
     "star_chain": "8f024e5fe9f643516ba5abe5f0efd2addf4a79ea8d0273a637abd68a9c9e221b",
 }
 
@@ -484,3 +489,117 @@ def test_matching_is_valid_maximal_seeded_and_near_greedy(cap_range, share):
         oracle_pairs += greedy_match(lv, cap, np.random.default_rng(trial))[1]
     assert differs > 0
     assert pairs >= share * oracle_pairs
+
+
+def check_contract(lv, cmap, n_coarse):
+    coarse = _contract(lv, cmap, n_coarse)
+    assert lv.cmap is cmap
+    node_w, edges = contract(lv, cmap, n_coarse)
+    assert coarse.n == n_coarse
+    assert coarse.node_w.tolist() == node_w
+    rows, cols = coarse.rows, coarse.indices.astype(np.int64)
+    assert (np.diff(cols)[np.diff(rows) == 0] > 0).all()  # neighbours sorted, each once
+    got = dict(zip(zip(rows.tolist(), cols.tolist()), coarse.weights.tolist()))
+    # summed in the oracle's order, so equal to the last bit
+    assert got == {**edges, **{(b, a): w for (a, b), w in edges.items()}}
+
+
+def test_contract_matches_the_plain_aggregation():
+    rng = np.random.default_rng(41)
+    merged = 0
+    for spacing in ((1.0, 1.0, 1.0), (1.0, 1.0, 5.0)):
+        for _ in range(4):
+            mask = rng.random((6, 7, 8)) < 0.6
+            v = Volume(rng.integers(0, 255, size=mask.shape).astype(np.uint8), spacing)
+            for comp in connected_components(Volume(mask.astype(np.uint8), spacing)):
+                g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=40.0))
+                n = g.n_nodes
+                lv = _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(n, np.int64))
+                n_cells = int(g.cells.max()) + 1
+                check_contract(lv, g.cells, n_cells)
+                merged += n_cells < n
+    assert merged > 0
+    for trial in range(100):
+        lv, cap = matching_level(rng, (45, 61))
+        mate, pairs = _match_level(lv, cap, np.random.default_rng(trial))
+        cmap, n_coarse = _matching_map(mate)
+        assert n_coarse == lv.n - pairs
+        matched = np.flatnonzero(mate >= 0)
+        assert np.array_equal(cmap[matched], cmap[mate[matched]])  # each pair is one node
+        check_contract(lv, cmap, n_coarse)
+
+
+def spy_contract(monkeypatch):
+    """The list of levels that ``_contract`` makes from now on, in order."""
+    made = []
+
+    def spy(lv, cmap, n_coarse):
+        made.append(_contract(lv, cmap, n_coarse))
+        return made[-1]
+
+    monkeypatch.setattr(partition, "_contract", spy)
+    return made
+
+
+def voxel_graph(shape_zyx, spacing=(1.0, 1.0, 1.0)):
+    v = Volume(np.ones(shape_zyx, dtype=np.uint8), spacing)
+    return build_graph(connected_components(v)[0], v, cfg=EdgeWeightConfig("const"))
+
+
+def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
+    g = voxel_graph((4, 6, 6))
+    n, n_cells = g.n_nodes, int(g.cells.max()) + 1
+    assert n > 40 and np.bincount(g.cells).max() == 8
+    made = spy_contract(monkeypatch)
+    bipartition(g, PartitionerConfig(seed=2))
+    assert made[0].n == n_cells  # the default cap, 36, admits cells of 8
+    made.clear()
+    eps = 0.05  # cap max(2, int(0.05 * 72)) = 3
+    b = bipartition(g, PartitionerConfig(imbalance=eps, seed=2))
+    assert made[0].n > n_cells
+    assert made[0].node_w.max() <= 3
+    assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
+
+
+def test_cell_level_skipped_when_cells_barely_shrink_the_level(monkeypatch):
+    # one voxel wide along z at spacing (1, 1, 5): cells are 2x2x1, so one voxel each
+    g = voxel_graph((60, 1, 1), (1.0, 1.0, 5.0))
+    assert g.n_nodes == 60 and int(g.cells.max()) + 1 == 60
+    made = spy_contract(monkeypatch)
+    b = bipartition(g, PartitionerConfig(seed=4))
+    assert made[0].n <= 0.95 * 60  # the matching's level, not the cells'
+    assert b.cut_weight == pytest.approx(0.2)  # one axial edge
+
+
+def test_fm_refines_every_level_down_to_the_voxels(monkeypatch):
+    g = voxel_graph((4, 12, 12))
+    made = spy_contract(monkeypatch)
+    refined = []
+
+    def refine_spy(lv, side, *args):
+        refined.append(lv.n)
+        return _fm_refine(lv, side, *args)
+
+    monkeypatch.setattr(partition, "_fm_refine", refine_spy)
+    bipartition(g, PartitionerConfig(seed=1))
+    assert made[0].n == int(g.cells.max()) + 1
+    finer = [g.n_nodes] + [lv.n for lv in made[:-1]]  # every level but the coarsest
+    assert refined[-len(finer):] == finer[::-1]
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0)])
+def test_voxel_graphs_stay_balanced_for_any_imbalance(spacing):
+    rng = np.random.default_rng(17)
+    blob = rng.random((7, 9, 9)) < 0.7
+    blob_v = Volume(blob.astype(np.uint8), spacing)
+    blob_comp = max(connected_components(blob_v), key=lambda c: len(c.coords))
+    graphs = [
+        voxel_graph((4, 6, 6), spacing),
+        voxel_graph((6, 10, 10), spacing),
+        build_graph(blob_comp, blob_v, cfg=EdgeWeightConfig("const")),
+    ]
+    for g in graphs:
+        n = g.n_nodes
+        for eps in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.8, 0.99):
+            b = bipartition(g, PartitionerConfig(imbalance=eps, seed=3))
+            assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
