@@ -132,7 +132,9 @@ def build_graph(
     spacing = np.asarray(v.spacing)
     block = np.where(spacing < 2.0 * spacing.min(), 2, 1)
     cell = rel.astype(np.int64) // block
-    cell_shape = shape // block + 1
+    cell_shape = -(-shape // block)
     key = (cell[:, 2] * cell_shape[1] + cell[:, 1]) * cell_shape[0] + cell[:, 0]
-    cells = np.unique(key, return_inverse=True)[1]
+    occupied = np.zeros(int(np.prod(cell_shape)), dtype=bool)
+    occupied[key] = True
+    cells = (np.cumsum(occupied) - 1)[key]  # rank of each key among the occupied cells
     return ComponentGraph(coords, indptr, indices, weights, cells)

@@ -37,7 +37,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .graphbuild import ComponentGraph, csr_from_edges
-from .volume import Component, Volume, components_from_labels, label_mask, paint_component
+from .volume import Component, _pieces, paint_component
 
 __all__ = [
     "PartitionerConfig",
@@ -499,8 +499,6 @@ def split_blocks(c: Component, b: Bipartition) -> List[Component]:
         if len(sub) == 0:
             continue
         box, origin = paint_component(Component(sub))
-        labels, n_lab = label_mask(Volume(box.astype(np.uint8)))
-        for comp in components_from_labels(labels, n_lab):
-            found.append(comp.coords + origin)
+        found.extend(coords + origin for coords in _pieces(box))
     found.sort(key=lambda a: (int(a[0, 2]), int(a[0, 1]), int(a[0, 0])))
     return [Component(coords) for coords in found]

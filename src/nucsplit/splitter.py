@@ -77,10 +77,8 @@ def _process(c: Component, s_parent: float, ctx: SplitContext, depth: int, max_d
     kept = []
     if len(c) >= 2:
         graph = build_graph(c, ctx.volume, model=ctx.model, cfg=ctx.edge_cfg)
-        blocks = split_blocks(c, bipartition(graph, ctx.part_cfg))
-        if not (len(blocks) == 1 and len(blocks[0]) == len(c)):
-            for child in blocks:
-                kept.extend(_process(child, scored.score, ctx, depth + 1, max_depth))
+        for child in split_blocks(c, bipartition(graph, ctx.part_cfg)):
+            kept.extend(_process(child, scored.score, ctx, depth + 1, max_depth))
     if kept:
         return kept
     return [(c, scored.score, scored.psi)] if scored.score > 0 else []

@@ -4,6 +4,11 @@ Arrays are stored C-ordered as ``data[z, y, x]`` so that ``data.ravel()``
 walks the voxels x-fastest: flat offset of ``(x, y, z)`` is
 ``x + Sx * (y + Sy * z)``.  All coordinates in the public API are given as
 ``(x, y, z)`` triples.
+
+Every 6-connected piece, of the foreground mask and of each side of a
+split, comes from one labelling routine: ``ndimage.label``, the voxels
+grouped by label in scan order, and the pieces sorted by their first
+voxel.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ DTYPE_CODES = {
     "f32": np.float32,
 }
 _CODE_OF = {np.dtype(v): k for k, v in DTYPE_CODES.items()}
+_SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
 
 
 def check_spacing(spacing) -> tuple[float, float, float]:
@@ -110,9 +116,10 @@ class Component:
         return x + sx * (y + sy * z)
 
     def bounding_box(self):
-        lo = self.coords.min(axis=0)
-        hi = self.coords.max(axis=0)
-        return lo, hi
+        # a column at a time: reducing the (N, 3) array along axis 0 is ~10x slower
+        cols = self.coords.T
+        return (np.array([c.min() for c in cols], dtype=cols.dtype),
+                np.array([c.max() for c in cols], dtype=cols.dtype))
 
 
 def gaussian_smooth(v: Volume, sigma: float) -> Volume:
@@ -142,39 +149,24 @@ def _unpack_flat(flat_idx: np.ndarray, sx: int, sy: int) -> np.ndarray:
     return np.stack([x, y, z], axis=1).astype(np.int32)
 
 
-def label_mask(mask: Volume) -> tuple[np.ndarray, int]:
-    """Label the 6-connected pieces of a binary volume; ids are 1..n in scan
-    order of each piece's first voxel."""
-    structure = ndimage.generate_binary_structure(3, 1)
-    lab, n = ndimage.label(mask.data != 0, structure=structure)
-    if n > 1:
-        # scipy happens to number in scan order already; pin it down regardless
-        flat = lab.ravel()
-        nz = np.flatnonzero(flat)
-        first = np.full(n + 1, flat.size, dtype=np.int64)
-        np.minimum.at(first, flat[nz], nz)
-        remap = np.zeros(n + 1, dtype=lab.dtype)
-        remap[1 + np.argsort(first[1:], kind="stable")] = np.arange(1, n + 1)
-        lab = remap[lab]
-    return lab.astype(np.uint32), int(n)
-
-
-def components_from_labels(labels: np.ndarray, n: int) -> list[Component]:
-    _, sy, sx = labels.shape
-    flat = labels.ravel()
+def _pieces(mask: np.ndarray) -> list[np.ndarray]:
+    """The (x, y, z) coordinates of each 6-connected piece of a boolean
+    ``[z, y, x]`` array, rows in scan order, pieces in scan order of their
+    first voxels."""
+    lab, n = ndimage.label(mask, structure=_SIX_CONNECTED)
+    _, sy, sx = mask.shape
+    flat = lab.ravel()
     nz = np.flatnonzero(flat)
-    order = np.argsort(flat[nz], kind="stable")  # groups by label, scan order within
-    nz = nz[order]
-    vals = flat[nz]
-    starts = np.searchsorted(vals, np.arange(1, n + 2))
-    return [Component(_unpack_flat(nz[starts[i] : starts[i + 1]], sx, sy)) for i in range(n)]
+    nz = nz[np.argsort(flat[nz], kind="stable")]  # groups by label, scan order within
+    starts = np.searchsorted(flat[nz], np.arange(1, n + 2))
+    first = nz[starts[:-1]]
+    return [_unpack_flat(nz[starts[i] : starts[i + 1]], sx, sy) for i in np.argsort(first)]
 
 
 def connected_components(mask: Volume) -> list[Component]:
     """Split the foreground of a binary volume into maximal 6-connected
     sets, listed in scan order of their first voxels."""
-    labels, n = label_mask(mask)
-    return components_from_labels(labels, n)
+    return [Component(coords) for coords in _pieces(mask.data != 0)]
 
 
 def paint_component(c: Component, pad: int = 0):

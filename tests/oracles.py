@@ -6,8 +6,10 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from nucsplit.geometry import CutMetricWeights
 from nucsplit.graphbuild import ComponentGraph, csr_from_edges
 from nucsplit.partition import _cut_of
+from nucsplit.volume import Component, paint_component
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -18,6 +20,23 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2) if sigma > 0 else np.ones(1)
     return k / k.sum()
+
+
+def two_sided_surface_area(c: Component, w: CutMetricWeights) -> float:
+    """Cut-metric area with each family's boundary pairs counted from both
+    ends: inside voxels whose neighbour at +d is outside, plus inside voxels
+    whose neighbour at -d is outside."""
+    box, _ = paint_component(c, pad=1)
+    inner = box[1:-1, 1:-1, 1:-1]
+    s0, s1, s2 = box.shape
+    area = 0.0
+    for k in range(len(w.directions)):
+        dx, dy, dz = (int(v) for v in w.directions[k])
+        ahead = box[1 + dz : s0 - 1 + dz, 1 + dy : s1 - 1 + dy, 1 + dx : s2 - 1 + dx]
+        behind = box[1 - dz : s0 - 1 - dz, 1 - dy : s1 - 1 - dy, 1 - dx : s2 - 1 - dx]
+        pairs = int((inner & ~ahead).sum()) + int((inner & ~behind).sum())
+        area += pairs * float(w.omega[k])
+    return area
 
 
 def graph_from_edge_list(n_nodes: int, edges: Iterable[Tuple[int, int, float]]) -> ComponentGraph:

@@ -13,7 +13,8 @@ from nucsplit.geometry import (
     volume_of,
     voronoi_fractions,
 )
-from nucsplit.volume import Component
+from nucsplit.volume import Component, Volume, connected_components
+from oracles import two_sided_surface_area
 
 
 def comp_of(mask):
@@ -145,6 +146,24 @@ def test_single_voxel_area_translation_invariant():
     a1 = surface_area(Component(np.array([[40, 7, 19]], dtype=np.int32)), w)
     assert a0 == a1 == pytest.approx(2 * w.omega.sum())
     assert a0 > 0
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0)])
+def test_area_equals_two_sided_pair_count(spacing):
+    w = cut_metric_weights(spacing)
+    rng = np.random.default_rng(17)
+    comps = [
+        Component(np.array([[0, 0, 0]], dtype=np.int32)),
+        Component(np.array([[6, 3, 9]], dtype=np.int32)),
+        comp_of(np.ones((4, 5, 6), dtype=bool)),  # fills its volume, touches every border
+        comp_of(np.ones((1, 5, 6), dtype=bool)),
+    ]
+    for _ in range(20):
+        mask = rng.random((6, 7, 8)) < 0.55
+        comps += connected_components(Volume(mask.astype(np.uint8)))
+    assert sum((c.coords == 0).any() for c in comps) > 20  # many touch the volume border
+    for c in comps:
+        assert surface_area(c, w) == two_sided_surface_area(c, w)
 
 
 def test_ball_area_matches_analytic_sphere():

@@ -252,8 +252,12 @@ def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
         for c in range(k):
             assert (np.ptp(coords[cells == c], axis=0) < block).all()  # within one block
         # voxels share a cell exactly when they share a block of the component's grid
-        boxes = [tuple(b) for b in ((coords - coords.min(axis=0)) // block).tolist()]
+        rel = (coords - coords.min(axis=0)) // block
+        boxes = [tuple(b) for b in rel.tolist()]
         assert len(set(zip(cells.tolist(), boxes))) == len(set(boxes)) == k
+        # and the ids are the scan-order ranks of the blocks
+        key = (rel[:, 2] * 100 + rel[:, 1]) * 100 + rel[:, 0]
+        assert np.array_equal(cells, np.unique(key, return_inverse=True)[1])
         checked += k < g.n_nodes
     assert checked > 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -327,3 +328,36 @@ def test_model_for_uses_the_slab_holding_most_voxels():
     # an unfitted home slab borrows from the fitted slab nearest to any voxel
     assert _model_for(column([4, 5, 6, 7, 8]), slabs).mu_f == 200.0
     assert _model_for(column([3, 4, 5, 6, 7]), slabs).mu_f == 100.0
+
+
+# Labels plus object report of one segment call on each scene, as SHA-256;
+# changes that keep the output must keep these digests.
+DIGEST_SCENES = {
+    "iso_clustered_prob": (
+        SceneConfig(size=(72, 72, 40), nucleus_count=10, semi_axis_range=(8.0, 9.0),
+                    clustering=0.8, mu_b=20.0, mu_f=200.0, noise_sigma=6.0, psf_sigma=1.2, seed=3),
+        NucleusModelParams(v_min=1500.0, v_max=4000.0),
+        BinarizationConfig(method="otsu", sigma_smooth=1.2, slabs=1),
+        EdgeWeightConfig(scheme="prob"),
+        "16717fa5f81942697c495fd6432f8a96ee12900e8c4d131672476bcc494ac32d",
+    ),
+    "aniso_slab4_grad": (
+        SceneConfig(size=(96, 96, 24), spacing=(1.0, 1.0, 5.0), nucleus_count=24,
+                    semi_axis_range=(9.5, 11.7), clustering=0.3, mu_b=20.0, mu_f=200.0,
+                    noise_sigma=6.0, psf_sigma=(1.0, 1.0, 0.4), z_decay=0.7, seed=7),
+        NucleusModelParams(v_min=2900.0, v_max=8550.0),
+        BinarizationConfig(method="otsu", sigma_smooth=0.7, slabs=4),
+        EdgeWeightConfig(scheme="grad", sigma_grad=100.0),
+        "fc1f8c65e1569875875af466e8716833f4d7da94ecb0544d3e804864cc47ddd3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SCENES))
+def test_segment_output_matches_reference_digest(name):
+    scene, params, bin_cfg, edge_cfg, digest = DIGEST_SCENES[name]
+    intensity, _ = generate(scene)
+    res = segment(intensity, params, bin_cfg=bin_cfg, edge_cfg=edge_cfg,
+                  part_cfg=PartitionerConfig(seed=1))
+    got = hashlib.sha256(res.labels.data.tobytes() + json.dumps(res.objects).encode()).hexdigest()
+    assert got == digest

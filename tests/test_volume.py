@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import nucsplit.volume as volume
+from nucsplit.partition import Bipartition, split_blocks
 from nucsplit.volume import (
     Component,
     Volume,
     connected_components,
     gaussian_smooth,
-    label_mask,
     read_rvol,
     write_rvol,
 )
@@ -155,15 +156,38 @@ def test_connected_components_empty_and_full():
     assert len(comps) == 1 and len(comps[0]) == 8
 
 
-def test_label_mask_matches_components():
-    mask = Volume((np.random.default_rng(5).random((5, 6, 4)) < 0.4).astype(np.uint8))
-    labels, n = label_mask(mask)
-    comps = connected_components(mask)
-    assert n == len(comps)
-    assert labels.dtype == np.uint32
-    for i, c in enumerate(comps, start=1):
-        assert (labels[c.coords[:, 2], c.coords[:, 1], c.coords[:, 0]] == i).all()
-    assert int((labels != 0).sum()) == sum(len(c) for c in comps)
+def test_pieces_keep_scan_order_whatever_ids_label_gives(monkeypatch):
+    real_label = volume.ndimage.label
+    rng = np.random.default_rng(8)
+    permuted = []
+
+    def shuffled_label(mask, structure=None):
+        lab, n = real_label(mask, structure=structure)
+        ids = np.concatenate([[0], 1 + rng.permutation(n)]).astype(lab.dtype)
+        permuted.append(n > 1 and (ids != np.arange(n + 1)).any())
+        return ids[lab], n
+
+    monkeypatch.setattr(volume.ndimage, "label", shuffled_label)
+    for _ in range(6):
+        mask = rng.random((6, 7, 8)) < 0.35
+        got = connected_components(Volume(mask.astype(np.uint8)))
+        assert [[tuple(r) for r in c.coords] for c in got] == brute_components(mask)
+
+    # each side of a random two-way split of a solid box, pieces merged in scan order
+    box = np.ones((5, 6, 7), dtype=bool)
+    c = connected_components(Volume(box.astype(np.uint8)))[0]
+    side = (rng.random(len(c)) < 0.5).astype(np.uint8)
+    b = Bipartition(side, 0.0, (int((side == 0).sum()), int(side.sum())))
+    want = []
+    for s in (0, 1):
+        mask = np.zeros(box.shape, dtype=bool)
+        on = c.coords[side == s]
+        mask[on[:, 2], on[:, 1], on[:, 0]] = True
+        want += brute_components(mask)
+    want.sort(key=lambda piece: piece[0][::-1])
+    got = [[tuple(r) for r in p.coords] for p in split_blocks(c, b)]
+    assert len(got) > 2 and got == want
+    assert sum(permuted) >= 6
 
 
 def test_rvol_roundtrip(tmp_path):
