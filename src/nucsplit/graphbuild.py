@@ -66,7 +66,8 @@ def csr_from_edges(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np
     rows = np.concatenate([eu, ev]).astype(np.int64)
     cols = np.concatenate([ev, eu]).astype(np.int64)
     wts = np.concatenate([ew, ew]).astype(np.float64)
-    order = np.argsort(rows * n_nodes + cols)  # unique keys when each pair is listed once
+    # unique keys when each pair is listed once; timsort merges build_graph's sorted runs
+    order = np.argsort(rows * n_nodes + cols, kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
     return indptr, cols[order].astype(np.int32), wts[order]

@@ -8,13 +8,14 @@ unless a cell outweighs the matching's cap or the cells shrink the
 graph by less than the 5% below which the matching counts as stalled.
 Each level's matching is locally dominant under the expansion* edge
 rating w / (c(u) * c(v)), with a seeded hash of the node pair breaking
-ties, and is found in numpy rounds of mutual proposals. On a coarsest level of at most 64 nodes growth starts from
-every node under both growth policies; a larger, stalled one starts
-from the two ends of a pseudo-peripheral sweep. Many starts grow the
-same block, and each distinct block is refined once. The best block is
-then refined with pass-based FM local search while projecting back
-through the levels. Balance is a hard constraint: neither block may
-exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
+ties, and is found in numpy rounds of mutual proposals. On a coarsest
+level of at most 16 nodes growth starts from every node under both
+growth policies; a larger one starts from the two ends of a
+pseudo-peripheral sweep and six evenly spaced ids. Starts often grow
+the same block, and each distinct block is refined once. The best
+block is then refined with pass-based FM local search while projecting
+back through the levels. Balance is a hard constraint: neither block
+may exceed (1 + imbalance) * ceil(n / 2) nodes, counted in fine-level
 voxels at every level via aggregated node weights.
 
 FM (Fiduccia and Mattheyses, DAC 1982) keeps its state for a whole
@@ -210,15 +211,17 @@ def _bfs_farthest(lv: _Level, start: int) -> Tuple[int, int]:
 def _start_candidates(lv: _Level) -> List[int]:
     """Growth starts for the coarsest level, each tried under both policies.
 
-    At most 64 nodes: every node (on near-regular small graphs most
-    nodes tie for maximal eccentricity anyway). Larger stalled graphs:
-    the two endpoints of the two-sweep pseudo-peripheral heuristic.
+    At most 16 nodes, the sizes small enough to check by brute force:
+    every node. Larger levels: the two endpoints of the two-sweep
+    pseudo-peripheral heuristic, then the ids ``(i * n) // 6`` for
+    i = 0..5, with repeats dropped, so at most 8 starts.
     """
-    if lv.n <= 64:
-        return list(range(lv.n))
+    n = lv.n
+    if n <= 16:
+        return list(range(n))
     s1, _ = _bfs_farthest(lv, 0)
     s2, _ = _bfs_farthest(lv, s1)
-    return list(dict.fromkeys((s2, s1)))
+    return list(dict.fromkeys([s2, s1] + [(i * n) // 6 for i in range(6)]))
 
 
 def _grow_initial(lv: _Level, target: int, start: int, policy: int) -> np.ndarray:

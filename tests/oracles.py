@@ -137,6 +137,12 @@ def grow_initial(lv, target: int, start: int, policy: int) -> np.ndarray:
     return side
 
 
+def every_node_starts(lv) -> List[int]:
+    """The exhaustive coarsest-level scan: growth from every node, the
+    reference the partitioner's few starts are measured against."""
+    return list(range(lv.n))
+
+
 def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     """The partitioner's FM pass over numpy state, one element read at a time."""
     n = lv.n
