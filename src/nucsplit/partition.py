@@ -2,10 +2,12 @@
 
 The classic scheme: coarsen by matching until the graph is small, then
 grow initial blocks on the coarsest level and keep the best after FM
-refinement. A voxel graph is first contracted into its cells, the
-voxels sharing a 2-voxel block along each short axis (see graphbuild),
-unless a cell outweighs the matching's cap or the cells shrink the
-graph by less than the 5% below which the matching counts as stalled.
+refinement. A voxel graph is first contracted on its grid levels (see
+graphbuild), into the blocks of 2 and then of 4 voxels along each short
+axis. Like matching, they stop at COARSEN_FLOOR nodes, and the first
+grid level whose heaviest cell outweighs the matching's cap, or that
+shrinks the level by less than the 5% below which the matching counts
+as stalled, ends them; matching goes on from the last one kept.
 Each level's matching is locally dominant under the expansion* edge
 rating w / (c(u) * c(v)), with a seeded hash of the node pair breaking
 ties, and is found in numpy rounds of mutual proposals. On a coarsest
@@ -449,12 +451,18 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
         cap = 1
 
     levels = [base]
-    if g.cells is not None and n > COARSEN_FLOOR:
-        cell_w = np.bincount(g.cells)
+    node = np.arange(n)  # each voxel's node on levels[-1]
+    for cells in g.cells or ():
+        lv = levels[-1]
+        cell_w = np.bincount(cells)
         # a cell heavier than the cap could unbalance the coarsest level, and
         # cells that barely shrink the level fail the matching's stall rule
-        if cell_w.max() <= cap and len(cell_w) <= 0.95 * n:
-            levels.append(_contract(base, g.cells, len(cell_w)))
+        if lv.n <= COARSEN_FLOOR or cell_w.max() > cap or len(cell_w) > 0.95 * lv.n:
+            break
+        cmap = np.empty(lv.n, dtype=np.int64)
+        cmap[node] = cells  # well defined: every block holds whole blocks of the level before
+        levels.append(_contract(lv, cmap, len(cell_w)))
+        node = cells
     while levels[-1].n > COARSEN_FLOOR:
         lv = levels[-1]
         mate, pairs = _match_level(lv, cap, rng)

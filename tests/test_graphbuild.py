@@ -241,25 +241,31 @@ def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
     rng = np.random.default_rng(5)
     mask = rng.random((7, 9, 8)) < 0.6
     v = Volume(np.zeros(mask.shape, np.uint8), spacing)
-    block = np.array(block)
-    checked = 0
+    checked = [0, 0]
     for comp in comps_of(mask, spacing):
         g = build_graph(comp, v)
-        cells, coords = g.cells, comp.coords
-        k = int(cells.max()) + 1
-        assert np.array_equal(np.unique(cells), np.arange(k))  # dense ids 0..k-1
-        assert np.bincount(cells).sum() == g.n_nodes
-        for c in range(k):
-            assert (np.ptp(coords[cells == c], axis=0) < block).all()  # within one block
-        # voxels share a cell exactly when they share a block of the component's grid
-        rel = (coords - coords.min(axis=0)) // block
-        boxes = [tuple(b) for b in rel.tolist()]
-        assert len(set(zip(cells.tolist(), boxes))) == len(set(boxes)) == k
-        # and the ids are the scan-order ranks of the blocks
-        key = (rel[:, 2] * 100 + rel[:, 1]) * 100 + rel[:, 0]
-        assert np.array_equal(cells, np.unique(key, return_inverse=True)[1])
-        checked += k < g.n_nodes
-    assert checked > 0
+        coords = comp.coords
+        assert len(g.cells) == len(graphbuild.GRID_BLOCKS) == 2
+        for level, (cells, size) in enumerate(zip(g.cells, graphbuild.GRID_BLOCKS)):
+            size_block = np.where(np.array(block) == 2, size, 1)  # the 2-block, then the 4-block
+            k = int(cells.max()) + 1
+            assert np.array_equal(np.unique(cells), np.arange(k))  # dense ids 0..k-1
+            assert np.bincount(cells).sum() == g.n_nodes
+            for c in range(k):
+                assert (np.ptp(coords[cells == c], axis=0) < size_block).all()  # within one block
+            # voxels share a cell exactly when they share a block of the component's grid
+            rel = (coords - coords.min(axis=0)) // size_block
+            boxes = [tuple(b) for b in rel.tolist()]
+            assert len(set(zip(cells.tolist(), boxes))) == len(set(boxes)) == k
+            # and the ids are the scan-order ranks of the blocks
+            key = (rel[:, 2] * 100 + rel[:, 1]) * 100 + rel[:, 0]
+            assert np.array_equal(cells, np.unique(key, return_inverse=True)[1])
+            finer = g.n_nodes if level == 0 else int(g.cells[level - 1].max()) + 1
+            checked[level] += k < finer
+        # each 2-block cell lies inside exactly one 4-block cell
+        two, four = g.cells
+        assert len(set(zip(two.tolist(), four.tolist()))) == int(two.max()) + 1
+    assert min(checked) > 0
 
 
 def test_abstract_graphs_have_no_cells():

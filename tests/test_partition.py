@@ -279,7 +279,8 @@ def test_disconnected_graph_zero_cut():
 # those digests predate the numpy matching. It re-recorded random50 (cut
 # 205.33 -> 208.13) and grid (48.0 -> 48.0, blocks 336/240 -> 192/384).
 # grid is the only voxel graph, so only it has cells; contracting them
-# first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432).
+# first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432), and so
+# did the 4-voxel grid level (48.0 -> 48.0, blocks 144/432 -> 384/192).
 REFERENCE_DIGESTS = {
     "random4": "9913b375daf7c31a4e38732e7f99c34b9d3d70ce637382251d6cf24f19a42354",
     "random5": "29b5531e3f5cd676cced3146be66df2c25290f1ad2e1d064c68c3710ddb42b1e",
@@ -295,7 +296,7 @@ REFERENCE_DIGESTS = {
     "random15": "502ea6bb3b47855d486fbb299d946e99f3123e6901592c0f4d3801f665524087",
     "random16": "576feb16c886bc81103ebda55acb9ccf443a08e33a0a7844b018bc8b09d7de70",
     "random50": "d517898b248e3d2156cd049aa698b53ab0c816838d169a7ac7dace835b4a307e",
-    "grid": "b9b093e0a11bd75083cdb5ccf8c1e58a7d84fd7cb7cef7f1c83c001bf046c4b4",
+    "grid": "87698417fc73ce8bf4ff6f2ed97b3c3368f378bc88c6f4fe260dc67d0aa3e0bf",
     "star_chain": "8f024e5fe9f643516ba5abe5f0efd2addf4a79ea8d0273a637abd68a9c9e221b",
 }
 
@@ -497,6 +498,7 @@ def test_matching_is_valid_maximal_seeded_and_near_greedy(cap_range, share):
 
 
 def check_contract(lv, cmap, n_coarse):
+    """Checks ``_contract`` against the oracle and returns the coarse level."""
     coarse = _contract(lv, cmap, n_coarse)
     assert lv.cmap is cmap
     node_w, edges = contract(lv, cmap, n_coarse)
@@ -507,11 +509,12 @@ def check_contract(lv, cmap, n_coarse):
     got = dict(zip(zip(rows.tolist(), cols.tolist()), coarse.weights.tolist()))
     # summed in the oracle's order, so equal to the last bit
     assert got == {**edges, **{(b, a): w for (a, b), w in edges.items()}}
+    return coarse
 
 
 def test_contract_matches_the_plain_aggregation():
     rng = np.random.default_rng(41)
-    merged = 0
+    merged = [0, 0]
     for spacing in ((1.0, 1.0, 1.0), (1.0, 1.0, 5.0)):
         for _ in range(4):
             mask = rng.random((6, 7, 8)) < 0.6
@@ -520,10 +523,15 @@ def test_contract_matches_the_plain_aggregation():
                 g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=40.0))
                 n = g.n_nodes
                 lv = _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(n, np.int64))
-                n_cells = int(g.cells.max()) + 1
-                check_contract(lv, g.cells, n_cells)
-                merged += n_cells < n
-    assert merged > 0
+                two, four = g.cells
+                n_two, n_four = int(two.max()) + 1, int(four.max()) + 1
+                coarse = check_contract(lv, two, n_two)
+                up = np.empty(n_two, np.int64)  # the cell -> 4-cell map, as bipartition forms it
+                up[two] = four
+                check_contract(coarse, up, n_four)
+                merged[0] += n_two < n
+                merged[1] += n_four < n_two
+    assert min(merged) > 0
     for trial in range(100):
         lv, cap = matching_level(rng, (45, 61))
         mate, pairs = _match_level(lv, cap, np.random.default_rng(trial))
@@ -553,11 +561,11 @@ def voxel_graph(shape_zyx, spacing=(1.0, 1.0, 1.0)):
 
 def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
     g = voxel_graph((4, 6, 6))
-    n, n_cells = g.n_nodes, int(g.cells.max()) + 1
-    assert n > 40 and np.bincount(g.cells).max() == 8
+    n, n_cells = g.n_nodes, int(g.cells[0].max()) + 1
+    assert n > 40 and np.bincount(g.cells[0]).max() == 8 and n_cells <= 40
     made = spy_contract(monkeypatch)
     bipartition(g, PartitionerConfig(seed=2))
-    assert made[0].n == n_cells  # the default cap, 36, admits cells of 8
+    assert [lv.n for lv in made] == [n_cells]  # the default cap, 36, admits cells of 8; 18 is coarse enough
     made.clear()
     eps = 0.05  # cap max(2, int(0.05 * 72)) = 3
     b = bipartition(g, PartitionerConfig(imbalance=eps, seed=2))
@@ -566,10 +574,54 @@ def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
     assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
 
 
+def test_four_level_skipped_when_a_four_cell_outweighs_the_cap(monkeypatch):
+    g = voxel_graph((12, 12, 12))
+    n = g.n_nodes
+    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    assert (n_two, n_four) == (216, 27)
+    made = spy_contract(monkeypatch)
+    bipartition(g, PartitionerConfig(seed=2))
+    assert [lv.n for lv in made] == [n_two, n_four]  # the default cap, 432, admits 4-cells of 64
+    made.clear()
+    eps = 0.05  # cap int(0.05 * 864) = 43: cells of 8 fit, 4-cells of 64 do not
+    b = bipartition(g, PartitionerConfig(imbalance=eps, seed=2))
+    assert made[0].n == n_two
+    assert made[1].n > n_four and made[1].node_w.max() <= 43  # a matching level
+    assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
+
+
+def test_grid_levels_stop_at_the_coarsening_floor(monkeypatch):
+    g = voxel_graph((4, 8, 8))
+    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    assert (n_two, n_four) == (32, 4)  # the cap, 64, would admit the 4-cells of 64
+    made = spy_contract(monkeypatch)
+    bipartition(g, PartitionerConfig(seed=5))
+    assert [lv.n for lv in made] == [n_two]  # 32 cells are at most COARSEN_FLOOR
+
+
+def test_four_level_skipped_when_it_barely_shrinks_the_cells(monkeypatch):
+    # a 2x2 column along z at spacing (1, 1, 5), one 2x2 patch beside it:
+    # cells are 2x2x1 and 4-cells 4x4x1, so each cell is alone in its 4-cell
+    # but the patch. At spacing (1, 1, 1) a connected shape whose cells all
+    # sit alone has at most 8 of them, too few to coarsen.
+    mask = np.zeros((60, 2, 4), dtype=bool)
+    mask[:, :, :2] = True
+    mask[30, :, 2:] = True
+    v = Volume(mask.astype(np.uint8), (1.0, 1.0, 5.0))
+    g = build_graph(connected_components(v)[0], v, cfg=EdgeWeightConfig("const"))
+    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    assert (g.n_nodes, n_two, n_four) == (244, 61, 60)
+    made = spy_contract(monkeypatch)
+    b = bipartition(g, PartitionerConfig(seed=4))
+    assert made[0].n == n_two
+    assert made[1].n <= 0.95 * n_two  # the matching's level, not the 4-cells'
+    assert b.cut_weight == pytest.approx(0.8)  # the four axial edges between two slices
+
+
 def test_cell_level_skipped_when_cells_barely_shrink_the_level(monkeypatch):
     # one voxel wide along z at spacing (1, 1, 5): cells are 2x2x1, so one voxel each
     g = voxel_graph((60, 1, 1), (1.0, 1.0, 5.0))
-    assert g.n_nodes == 60 and int(g.cells.max()) + 1 == 60
+    assert g.n_nodes == 60 and int(g.cells[0].max()) + 1 == 60
     made = spy_contract(monkeypatch)
     b = bipartition(g, PartitionerConfig(seed=4))
     assert made[0].n <= 0.95 * 60  # the matching's level, not the cells'
@@ -587,13 +639,13 @@ def test_fm_refines_every_level_down_to_the_voxels(monkeypatch):
 
     monkeypatch.setattr(partition, "_fm_refine", refine_spy)
     bipartition(g, PartitionerConfig(seed=1))
-    assert made[0].n == int(g.cells.max()) + 1
+    assert [lv.n for lv in made[:2]] == [int(cells.max()) + 1 for cells in g.cells]
     finer = [g.n_nodes] + [lv.n for lv in made[:-1]]  # every level but the coarsest
     assert refined[-len(finer):] == finer[::-1]
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0)])
-def test_voxel_graphs_stay_balanced_for_any_imbalance(spacing):
+def test_voxel_graphs_stay_balanced_for_any_imbalance(monkeypatch, spacing):
     rng = np.random.default_rng(17)
     blob = rng.random((7, 9, 9)) < 0.7
     blob_v = Volume(blob.astype(np.uint8), spacing)
@@ -602,12 +654,18 @@ def test_voxel_graphs_stay_balanced_for_any_imbalance(spacing):
         voxel_graph((4, 6, 6), spacing),
         voxel_graph((6, 10, 10), spacing),
         build_graph(blob_comp, blob_v, cfg=EdgeWeightConfig("const")),
+        voxel_graph((12, 16, 16), spacing),  # its 4-cells fit the cap from eps 0.05 on
     ]
+    made = spy_contract(monkeypatch)
+    box, n_four = graphs[-1], int(graphs[-1].cells[1].max()) + 1
     for g in graphs:
         n = g.n_nodes
         for eps in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.8, 0.99):
+            made.clear()
             b = bipartition(g, PartitionerConfig(imbalance=eps, seed=3))
             assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
+            if g is box and eps >= 0.05:
+                assert made[1].n == n_four  # the 4-level is formed
 
 
 def level_of(g):
