@@ -44,19 +44,23 @@ class ComponentGraph:
     holds one array per grid level: each node's dense id among the
     blocks of 2, then 4 voxels (GRID_BLOCKS) along each short axis
     (spacing under twice the smallest). Blocks are aligned to the
-    bounding box, so every 4-block holds whole 2-blocks. ``cells`` is
-    None on an abstract graph.
+    bounding box, so every 4-block holds whole 2-blocks. ``grid_levels``
+    holds each grid level as (cmap, indptr, indices, weights): the map
+    from the level before to its blocks, and their CSR adjacency, equal
+    bit for bit to ``partition._contract`` of the level before.
+    ``cells`` and ``grid_levels`` are None on an abstract graph.
     """
 
-    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count", "cells")
+    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count", "cells", "grid_levels")
 
-    def __init__(self, node_coords, indptr, indices, weights, cells=None):
+    def __init__(self, node_coords, indptr, indices, weights, cells=None, grid_levels=None):
         self.node_coords = node_coords
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.edge_count = len(indices) // 2
         self.cells = cells
+        self.grid_levels = grid_levels
 
     @property
     def n_nodes(self) -> int:
@@ -71,7 +75,8 @@ def csr_from_edges(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np
     rows = np.concatenate([eu, ev]).astype(np.int64)
     cols = np.concatenate([ev, eu]).astype(np.int64)
     wts = np.concatenate([ew, ew]).astype(np.float64)
-    # unique keys when each pair is listed once; timsort merges build_graph's sorted runs
+    # unique keys when each pair is listed once; a contraction lists its pairs
+    # in key order, so timsort finds the first half as one sorted run
     order = np.argsort(rows * n_nodes + cols, kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
@@ -109,7 +114,7 @@ def build_graph(
     if cfg.scheme == "prob":
         node_post = _posteriors(node_vals, model)
 
-    us, vs, ws = [], [], []
+    axes = []  # each axis's +edges (u, v, w): u ascending, v its +neighbour
     for axis, step in ((0, v.spacing[0]), (1, v.spacing[1]), (2, v.spacing[2])):
         grid_axis = 2 - axis  # grid is (z, y, x)
         a = [slice(None)] * 3
@@ -126,19 +131,60 @@ def build_graph(
             base = np.exp(-(diff * diff) / (2.0 * cfg.sigma_grad**2))
         else:
             base = -np.log(np.minimum(node_post[ua], node_post[va]))
-        us.append(ua)
-        vs.append(va)
-        ws.append(base / step)
-
-    eu = np.concatenate(us)
-    ev = np.concatenate(vs)
-    ew = np.concatenate(ws)
-    indptr, indices, weights = csr_from_edges(len(coords), eu, ev, ew)
+        axes.append((ua, va, base / step))
+    indptr, indices, weights = _csr_from_axes(len(coords), axes)
 
     spacing = np.asarray(v.spacing)
     short = spacing < 2.0 * spacing.min()
     cells = tuple(_block_ids(rel, shape, np.where(short, size.bit_length() - 1, 0)) for size in GRID_BLOCKS)
-    return ComponentGraph(coords, indptr, indices, weights, cells)
+    grid_levels = []
+    node, n_finer = np.arange(len(coords)), len(coords)  # each voxel's node on the level before
+    for ids in cells:
+        cmap = np.empty(n_finer, dtype=np.int64)
+        cmap[node] = ids  # well defined: every block holds whole blocks of the level before
+        n_cells = int(ids.max()) + 1
+        axes = [_sum_axis(cmap, n_cells, *edges) for edges in axes]
+        grid_levels.append((cmap, *_csr_from_axes(n_cells, axes)))
+        node, n_finer = ids, n_cells
+    return ComponentGraph(coords, indptr, indices, weights, cells, tuple(grid_levels))
+
+
+def _sum_axis(cmap: np.ndarray, n_cells: int, u, v, w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis's +edges between the blocks that ``cmap`` merges the nodes into.
+
+    A block has at most one +neighbour along an axis, so the edges add up
+    per source block. ``u`` ascends, so each sum adds its edges in the
+    order of the finer level's CSR, as ``partition._contract`` does.
+    """
+    cu, cv = cmap[u], cmap[v]
+    cross = cu != cv
+    cu, cv, w = cu[cross], cv[cross], w[cross]
+    summed = np.bincount(cu, weights=w, minlength=n_cells)
+    target = np.full(n_cells, -1, dtype=np.int64)
+    target[cu] = cv
+    src = np.flatnonzero(target >= 0)
+    return src, target[src], summed[src]
+
+
+def _csr_from_axes(n_nodes: int, axes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR adjacency from each axis's +edges, on a grid level whose
+    ids are the scan-order ranks of its nodes.
+
+    Every row then reads its -z, -y, -x, +x, +y and +z neighbours in the
+    order of their ids, so each node's six slots are filled in that order
+    and read out row by row, without a sort. The result equals
+    ``csr_from_edges``.
+    """
+    directions = [(v, u, w) for u, v, w in reversed(axes)] + list(axes)
+    nbr = np.full((n_nodes, 6), -1, dtype=np.int32)
+    wts = np.empty((n_nodes, 6))
+    for d, (src, dst, w) in enumerate(directions):
+        nbr[:, d][src] = dst  # through the column's view: faster than nbr[src, d]
+        wts[:, d][src] = w
+    present = nbr >= 0
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(present.ravel())[5::6]  # entries up to the end of each row
+    return indptr, nbr[present], wts[present]
 
 
 def _block_ids(rel: np.ndarray, shape: np.ndarray, shift: np.ndarray) -> np.ndarray:

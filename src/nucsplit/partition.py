@@ -2,12 +2,12 @@
 
 The classic scheme: coarsen by matching until the graph is small, then
 grow initial blocks on the coarsest level and keep the best after FM
-refinement. A voxel graph is first contracted on its grid levels (see
-graphbuild), into the blocks of 2 and then of 4 voxels along each short
-axis. Like matching, they stop at COARSEN_FLOOR nodes, and the first
-grid level whose heaviest cell outweighs the matching's cap, or that
-shrinks the level by less than the 5% below which the matching counts
-as stalled, ends them; matching goes on from the last one kept.
+refinement. A voxel graph first takes its grid levels, the blocks of 2
+and then of 4 voxels along each short axis, which graphbuild has
+already summed. Like matching, they stop at COARSEN_FLOOR nodes, and the
+first grid level whose heaviest cell outweighs the matching's cap, or
+that shrinks the level by less than the 5% below which the matching
+counts as stalled, ends them; matching goes on from the last one kept.
 Each level's matching is locally dominant under the expansion* edge
 rating w / (c(u) * c(v)), with a seeded hash of the node pair breaking
 ties, and is found in numpy rounds of mutual proposals. On a coarsest
@@ -23,10 +23,12 @@ voxels at every level via aggregated node weights.
 FM (Fiduccia and Mattheyses, DAC 1982) keeps its state for a whole
 level: each node's edge weight to either block, the boundary set and
 the cut are set up once and carried from pass to pass, and after a
-pass only the moved nodes and their neighbours are recounted. A pass
-builds its heap from the boundary alone and stops after FM_STALL moves
-without a new best cut, the fixed cap of METIS (Karypis and Kumar,
-SIAM J. Sci. Comput. 1998).
+pass only the moved nodes and their neighbours are recounted. Below the
+coarsest level the set-up counts only the nodes under the coarser
+level's final boundary, as METIS keeps gains for boundary vertices only
+(Karypis and Kumar, SIAM J. Sci. Comput. 1998). A pass builds its heap
+from the boundary alone and stops after FM_STALL moves without a new
+best cut, the fixed cap of METIS.
 """
 
 from __future__ import annotations
@@ -291,7 +293,10 @@ class _FMState:
 
     ``ext``/``intw`` hold each node's edge weight to the other block and
     to its own, and ``boundary`` the nodes with ``ext > 0``. All three
-    equal a fresh bincount over ``sides`` bit for bit: after a pass that
+    equal a fresh bincount over ``sides`` bit for bit. They are set up
+    only for the ``candidates`` (ascending; every node when None), the
+    only nodes that may have an edge to the other block: any other node
+    has ``ext`` 0 and its weighted degree as ``intw``. After a pass that
     moved few nodes, the moved nodes and their neighbours are recounted,
     each row summed in CSR order as ``np.bincount`` sums it, so a pass
     costs what its moves cost, not the level's size. ``side`` is the
@@ -301,14 +306,13 @@ class _FMState:
     __slots__ = ("lv", "side", "sides", "ext", "intw", "boundary", "moved", "w0", "cut", "total_w", "max_side_w",
                  "csr", "as_lists")
 
-    def __init__(self, lv: _Level, side: np.ndarray, total_w: int, max_side_w: int):
+    def __init__(self, lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, candidates=None):
         self.lv = lv
         self.side = side
         self.sides = side.tolist()
-        self.count_all()
+        self.cut = self.count_all(candidates)
         self.moved = [False] * lv.n
         self.w0 = int(lv.node_w[side == 0].sum())
-        self.cut = _cut_of(lv, side)
         self.total_w = total_w
         self.max_side_w = max_side_w
         # the coarsest level's list view is shared with growth; a finer level
@@ -319,17 +323,50 @@ class _FMState:
         else:
             self.csr = (lv.indptr.tolist(), lv.indices, lv.weights, lv.node_w.tolist())
 
-    def count_all(self) -> None:
+    def count_all(self, nodes=None) -> float:
+        """Count ``ext``, ``intw`` and ``boundary`` afresh, where only ``nodes``
+        (ascending; every node when None) may have an edge to the other
+        block, and return the cut. Its crossing weights come in CSR order,
+        so the cut equals ``_cut_of`` bit for bit."""
+        lv = self.lv
+        ext, intw, cross_w = self.count_rows(nodes)
+        if nodes is None:
+            self.ext, self.intw = ext.tolist(), intw.tolist()
+            self.boundary = set(np.flatnonzero(ext > 0).tolist())
+        else:
+            self.ext = [0.0] * lv.n
+            self.intw = np.bincount(lv.rows, weights=lv.weights, minlength=lv.n).tolist()  # weighted degrees
+            self.boundary = set()
+            self.set_rows(nodes, ext, intw)
+        return float(cross_w.sum() / 2.0)
+
+    def count_rows(self, nodes=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ext`` and ``intw`` of the rows of ``nodes`` (every row when None),
+        each summed in CSR order, and the weights of their crossing entries."""
         lv, side = self.lv, self.side
-        same = side[lv.rows] == side[lv.indices]
-        ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=lv.n)
-        intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=lv.n)
-        self.ext, self.intw = ext.tolist(), intw.tolist()
-        self.boundary = set(np.flatnonzero(ext > 0).tolist())
+        if nodes is None:
+            pos, rows, n_rows = slice(None), lv.rows, lv.n
+        else:
+            pos, rows = _row_entries(lv.indptr, nodes)
+            n_rows = len(nodes)
+        wts = lv.weights[pos]
+        cross = side[lv.rows[pos]] != side[lv.indices[pos]]
+        cross_w = wts[cross]
+        ext = np.bincount(rows[cross], weights=cross_w, minlength=n_rows)
+        intw = np.bincount(rows[~cross], weights=wts[~cross], minlength=n_rows)
+        return ext, intw, cross_w
+
+    def set_rows(self, nodes: np.ndarray, ext: np.ndarray, intw: np.ndarray) -> None:
+        """Store the fresh counts of ``nodes`` and update the boundary to match."""
+        for v, e, i in zip(nodes.tolist(), ext.tolist(), intw.tolist()):
+            self.ext[v] = e
+            self.intw[v] = i
+        self.boundary.difference_update(nodes[ext <= 0].tolist())
+        self.boundary.update(nodes[ext > 0].tolist())
 
     def recount(self, moved: List[int]) -> None:
         """Make the state exact again after the ``moved`` nodes changed sides."""
-        lv, side = self.lv, self.side
+        lv = self.lv
         # a whole-level bincount costs as much as recounting the touched rows
         # once 1/32 (3k nodes) to 1/8 (145k nodes) of the level has moved
         if len(moved) * 16 > lv.n:
@@ -340,16 +377,8 @@ class _FMState:
         touched[moved] = True
         touched[lv.indices[pos]] = True
         nodes = np.flatnonzero(touched)
-        pos, rows = _row_entries(lv.indptr, nodes)
-        same = side[lv.rows[pos]] == side[lv.indices[pos]]
-        wts = lv.weights[pos]
-        ext = np.bincount(rows[~same], weights=wts[~same], minlength=len(nodes))
-        intw = np.bincount(rows[same], weights=wts[same], minlength=len(nodes))
-        for v, e, i in zip(nodes.tolist(), ext.tolist(), intw.tolist()):
-            self.ext[v] = e
-            self.intw[v] = i
-        self.boundary.difference_update(nodes[ext <= 0].tolist())
-        self.boundary.update(nodes[ext > 0].tolist())
+        ext, intw, _ = self.count_rows(nodes)
+        self.set_rows(nodes, ext, intw)
 
 
 def _fm_pass(st: _FMState, stall_limit: int) -> bool:
@@ -422,12 +451,36 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     return best_len > 0
 
 
-def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int) -> None:
-    st = _FMState(lv, side, total_w, max_side_w)
+def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, candidates=None) -> set:
+    """Refines ``side`` in place and returns its final boundary (see _FMState)."""
+    st = _FMState(lv, side, total_w, max_side_w, candidates)
     for _ in range(FM_PASSES):
         cut = st.cut
         if not _fm_pass(st, FM_STALL) or st.cut >= cut - 1e-12:
             break
+    return st.boundary  # exact: every pass that moved nodes ends with a recount
+
+
+def _coarsen(g: ComponentGraph, base: _Level, cap: int, rng: np.random.Generator) -> List[_Level]:
+    """The levels from ``base`` to the coarsest: first the grid levels of a
+    voxel graph, as long as they pass the guards, then matching levels."""
+    levels = [base]
+    for cells, (cmap, indptr, indices, weights) in zip(g.cells or (), g.grid_levels or ()):
+        lv = levels[-1]
+        cell_w = np.bincount(cells)
+        # a cell heavier than the cap could unbalance the coarsest level, and
+        # cells that barely shrink the level fail the matching's stall rule
+        if lv.n <= COARSEN_FLOOR or cell_w.max() > cap or len(cell_w) > 0.95 * lv.n:
+            break
+        lv.cmap = cmap
+        levels.append(_Level(indptr, indices, weights, cell_w))
+    while levels[-1].n > COARSEN_FLOOR:
+        lv = levels[-1]
+        mate, pairs = _match_level(lv, cap, rng)
+        if pairs == 0 or lv.n - pairs > 0.95 * lv.n:
+            break  # matching stalled
+        levels.append(_contract(lv, *_matching_map(mate)))
+    return levels
 
 
 def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig()) -> Bipartition:
@@ -450,26 +503,7 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
         # node heavier than the slack plus one could overshoot the bound
         cap = 1
 
-    levels = [base]
-    node = np.arange(n)  # each voxel's node on levels[-1]
-    for cells in g.cells or ():
-        lv = levels[-1]
-        cell_w = np.bincount(cells)
-        # a cell heavier than the cap could unbalance the coarsest level, and
-        # cells that barely shrink the level fail the matching's stall rule
-        if lv.n <= COARSEN_FLOOR or cell_w.max() > cap or len(cell_w) > 0.95 * lv.n:
-            break
-        cmap = np.empty(lv.n, dtype=np.int64)
-        cmap[node] = cells  # well defined: every block holds whole blocks of the level before
-        levels.append(_contract(lv, cmap, len(cell_w)))
-        node = cells
-    while levels[-1].n > COARSEN_FLOOR:
-        lv = levels[-1]
-        mate, pairs = _match_level(lv, cap, rng)
-        if pairs == 0 or lv.n - pairs > 0.95 * lv.n:
-            break  # matching stalled
-        levels.append(_contract(lv, *_matching_map(mate)))
-
+    levels = _coarsen(g, base, cap, rng)
     coarsest = levels[-1]
     side = None
     best_cut = math.inf
@@ -481,13 +515,21 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
             if key in tried:
                 continue  # FM is deterministic and only a strictly smaller cut wins
             tried.add(key)
-            _fm_refine(coarsest, cand, n, max_side_w)
+            cand_boundary = _fm_refine(coarsest, cand, n, max_side_w)
             cut = _cut_of(coarsest, cand)
             if cut < best_cut - 1e-12:
-                side, best_cut = cand, cut
+                side, best_cut, boundary = cand, cut, cand_boundary
+    # a zero-weight edge can cross the cut with no node's ext above 0, and
+    # the cut summed without it could differ in the last bit
+    positive = bool((base.weights > 0).all())
     for lv in reversed(levels[:-1]):
+        on_boundary = np.zeros(len(side), dtype=bool)
+        on_boundary[list(boundary)] = True
         side = side[lv.cmap]
-        _fm_refine(lv, side, n, max_side_w)
+        # a finer edge that crosses the cut joins coarser nodes across it,
+        # so only the nodes under the coarser boundary can be on this one
+        candidates = np.flatnonzero(on_boundary[lv.cmap]) if positive else None
+        boundary = _fm_refine(lv, side, n, max_side_w, candidates)
 
     n0 = int((side == 0).sum())
     n1 = n - n0

@@ -6,7 +6,7 @@ import pytest
 import nucsplit.graphbuild as graphbuild
 from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph, csr_from_edges
 from nucsplit.histmodel import HistogramModel, background_posterior
-from nucsplit.partition import _cut_of, _Level
+from nucsplit.partition import _contract, _cut_of, _Level
 from nucsplit.volume import Component, Volume, connected_components
 from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays, graph_from_edge_list
 
@@ -194,22 +194,28 @@ def test_csr_matches_the_lexsort_version():
         assert_same_csr(csr_from_edges(n, eu, ev, ew), csr_from_edges_lexsort(n, eu, ev, ew))
 
 
-def test_build_graph_csr_matches_the_lexsort_version(monkeypatch):
-    calls = []
-
-    def recording(*args):
-        calls.append((args, csr_from_edges(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(graphbuild, "csr_from_edges", recording)
+def test_build_graph_csr_matches_the_lexsort_version():
     rng = np.random.default_rng(5)
     mask = rng.random((6, 7, 8)) < 0.7
     v = Volume(rng.integers(0, 255, size=mask.shape).astype(np.uint8), (1.0, 1.0, 2.5))
     comp = max(comps_of(mask, v.spacing), key=lambda c: len(c.coords))
-    g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=20.0))
-    (args, got), = calls
-    assert_same_csr((g.indptr, g.indices, g.weights), got)
-    assert_same_csr(got, csr_from_edges_lexsort(*args))
+    cfg = EdgeWeightConfig("grad", sigma_grad=20.0)
+    g = build_graph(comp, v, cfg=cfg)
+    # every 6-adjacent pair once, weighted by the scheme's formula
+    index = {tuple(p): i for i, p in enumerate(comp.coords.tolist())}
+    eu, ev, step = [], [], []
+    for p, i in index.items():
+        for axis in range(3):
+            j = index.get(tuple(c + (k == axis) for k, c in enumerate(p)))
+            if j is not None:
+                eu.append(i)
+                ev.append(j)
+                step.append(v.spacing[axis])
+    eu, ev = np.array(eu), np.array(ev)
+    vals = v.data[comp.coords[:, 2], comp.coords[:, 1], comp.coords[:, 0]].astype(np.float64)
+    diff = vals[eu] - vals[ev]
+    ew = np.exp(-(diff * diff) / (2.0 * cfg.sigma_grad**2)) / np.array(step)
+    assert_same_csr((g.indptr, g.indices, g.weights), csr_from_edges_lexsort(g.n_nodes, eu, ev, ew))
 
 
 def test_cut_weight_against_direct_sum():
@@ -268,5 +274,44 @@ def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
     assert min(checked) > 0
 
 
+def grid_level_masks(rng):
+    """Seeded blobs, one-voxel-thin shapes along each axis, and boxes that fill their bounding box."""
+    masks = [rng.random((8, 10, 9)) < 0.65 for _ in range(3)]
+    sheet = np.zeros((5, 9, 10), dtype=bool)
+    sheet[2] = rng.random((9, 10)) < 0.85  # one voxel thin along z
+    wall = np.zeros((9, 10, 5), dtype=bool)
+    wall[:, :, 2] = True  # along x
+    rod = np.zeros((11, 5, 5), dtype=bool)
+    rod[:, 2, 2] = True  # along x and y
+    return masks + [sheet, wall, rod, np.ones((6, 7, 9), dtype=bool), np.ones((4, 4, 4), dtype=bool)]
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0), (1.0, 1.9, 1.0), (2.0, 1.0, 1.0)])
+def test_grid_levels_equal_the_contractions_bit_for_bit(spacing):
+    rng = np.random.default_rng(29)
+    model = reference_model()
+    schemes = (EdgeWeightConfig("const"), EdgeWeightConfig("grad", sigma_grad=25.0), EdgeWeightConfig("prob"))
+    summed = [0, 0]
+    for mask in grid_level_masks(rng):
+        v = Volume(rng.integers(0, 255, size=mask.shape).astype(np.uint8), spacing)
+        for comp in comps_of(mask, spacing):
+            for cfg in schemes:
+                g = build_graph(comp, v, model=model, cfg=cfg)
+                assert len(g.grid_levels) == len(g.cells) == 2
+                lv = _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(g.n_nodes, np.int64))
+                node = np.arange(g.n_nodes)  # each voxel's node on lv
+                for level, (cells, (cmap, indptr, indices, weights)) in enumerate(zip(g.cells, g.grid_levels)):
+                    assert np.array_equal(cmap[node], cells)  # the map from the level before
+                    lv = _contract(lv, cmap, int(cells.max()) + 1)
+                    assert np.array_equal(indptr, lv.indptr)
+                    assert np.array_equal(indices, lv.indices)
+                    assert weights.tobytes() == lv.weights.tobytes()
+                    assert np.array_equal(np.bincount(cells), lv.node_w)  # the node weights bipartition forms
+                    summed[level] += (lv.node_w > 1).any() and len(indices) > 0
+                    node = cells
+    assert min(summed) > 0
+
+
 def test_abstract_graphs_have_no_cells():
-    assert graph_from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)]).cells is None
+    g = graph_from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert g.cells is None and g.grid_levels is None

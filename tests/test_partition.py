@@ -9,11 +9,13 @@ from scipy.sparse.csgraph import shortest_path
 
 import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph
+from nucsplit.histmodel import HistogramModel
 from nucsplit.partition import (
     FM_PASSES,
     FM_STALL,
     Bipartition,
     PartitionerConfig,
+    _coarsen,
     _contract,
     _cut_of,
     _fm_pass,
@@ -542,15 +544,17 @@ def test_contract_matches_the_plain_aggregation():
         check_contract(lv, cmap, n_coarse)
 
 
-def spy_contract(monkeypatch):
-    """The list of levels that ``_contract`` makes from now on, in order."""
+def spy_levels(monkeypatch):
+    """The list of levels that coarsening makes from now on, in order: the
+    grid levels kept from ``build_graph`` and the contracted ones."""
     made = []
 
-    def spy(lv, cmap, n_coarse):
-        made.append(_contract(lv, cmap, n_coarse))
-        return made[-1]
+    def spy(*args):
+        levels = _coarsen(*args)
+        made.extend(levels[1:])
+        return levels
 
-    monkeypatch.setattr(partition, "_contract", spy)
+    monkeypatch.setattr(partition, "_coarsen", spy)
     return made
 
 
@@ -563,7 +567,7 @@ def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
     g = voxel_graph((4, 6, 6))
     n, n_cells = g.n_nodes, int(g.cells[0].max()) + 1
     assert n > 40 and np.bincount(g.cells[0]).max() == 8 and n_cells <= 40
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=2))
     assert [lv.n for lv in made] == [n_cells]  # the default cap, 36, admits cells of 8; 18 is coarse enough
     made.clear()
@@ -579,7 +583,7 @@ def test_four_level_skipped_when_a_four_cell_outweighs_the_cap(monkeypatch):
     n = g.n_nodes
     n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
     assert (n_two, n_four) == (216, 27)
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=2))
     assert [lv.n for lv in made] == [n_two, n_four]  # the default cap, 432, admits 4-cells of 64
     made.clear()
@@ -594,7 +598,7 @@ def test_grid_levels_stop_at_the_coarsening_floor(monkeypatch):
     g = voxel_graph((4, 8, 8))
     n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
     assert (n_two, n_four) == (32, 4)  # the cap, 64, would admit the 4-cells of 64
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=5))
     assert [lv.n for lv in made] == [n_two]  # 32 cells are at most COARSEN_FLOOR
 
@@ -611,7 +615,7 @@ def test_four_level_skipped_when_it_barely_shrinks_the_cells(monkeypatch):
     g = build_graph(connected_components(v)[0], v, cfg=EdgeWeightConfig("const"))
     n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
     assert (g.n_nodes, n_two, n_four) == (244, 61, 60)
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     b = bipartition(g, PartitionerConfig(seed=4))
     assert made[0].n == n_two
     assert made[1].n <= 0.95 * n_two  # the matching's level, not the 4-cells'
@@ -622,7 +626,7 @@ def test_cell_level_skipped_when_cells_barely_shrink_the_level(monkeypatch):
     # one voxel wide along z at spacing (1, 1, 5): cells are 2x2x1, so one voxel each
     g = voxel_graph((60, 1, 1), (1.0, 1.0, 5.0))
     assert g.n_nodes == 60 and int(g.cells[0].max()) + 1 == 60
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     b = bipartition(g, PartitionerConfig(seed=4))
     assert made[0].n <= 0.95 * 60  # the matching's level, not the cells'
     assert b.cut_weight == pytest.approx(0.2)  # one axial edge
@@ -630,7 +634,7 @@ def test_cell_level_skipped_when_cells_barely_shrink_the_level(monkeypatch):
 
 def test_fm_refines_every_level_down_to_the_voxels(monkeypatch):
     g = voxel_graph((4, 12, 12))
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     refined = []
 
     def refine_spy(lv, side, *args):
@@ -642,6 +646,70 @@ def test_fm_refines_every_level_down_to_the_voxels(monkeypatch):
     assert [lv.n for lv in made[:2]] == [int(cells.max()) + 1 for cells in g.cells]
     finer = [g.n_nodes] + [lv.n for lv in made[:-1]]  # every level but the coarsest
     assert refined[-len(finer):] == finer[::-1]
+
+
+def spy_fm_set_up(monkeypatch, check):
+    """Calls ``check(lv, side, total_w, max_side_w, candidates)`` before each
+    refinement inside ``bipartition``, with the side as projected."""
+
+    def refine(lv, side, total_w, max_side_w, candidates=None):
+        check(lv, side.copy(), total_w, max_side_w, candidates)
+        return _fm_refine(lv, side, total_w, max_side_w, candidates)
+
+    monkeypatch.setattr(partition, "_fm_refine", refine)
+
+
+def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypatch):
+    seen = []
+
+    def check(lv, side, total_w, max_side_w, candidates):
+        if candidates is None:
+            return  # the coarsest level
+        st = _FMState(lv, side, total_w, max_side_w, candidates)
+        same = side[lv.rows] == side[lv.indices]
+        ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=lv.n)
+        intw = np.bincount(lv.rows[same], weights=lv.weights[same], minlength=lv.n)
+        assert np.array(st.ext).tobytes() == ext.tobytes()
+        assert np.array(st.intw).tobytes() == intw.tobytes()
+        boundary = np.flatnonzero(ext > 0)
+        assert st.boundary == set(boundary.tolist())
+        assert np.isin(boundary, candidates).all()
+        assert st.cut == _cut_of(lv, side)
+        seen.append((lv.n, len(candidates), len(boundary)))
+
+    spy_fm_set_up(monkeypatch, check)
+    rng = np.random.default_rng(43)
+    for spacing in ((1.0, 1.0, 1.0), (1.0, 1.0, 5.0)):
+        for trial in range(3):
+            mask = rng.random((10, 14, 14)) < 0.75
+            v = Volume(rng.integers(0, 255, size=mask.shape).astype(np.uint8), spacing)
+            comp = max(connected_components(Volume(mask.astype(np.uint8), spacing)), key=lambda c: len(c.coords))
+            g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=40.0))
+            bipartition(g, PartitionerConfig(seed=trial))
+        bipartition(voxel_graph((8, 16, 16), spacing), PartitionerConfig(seed=3))
+    assert any(n > 1000 for n, _, _ in seen)
+    assert all(k < n for n, k, _ in seen)  # fewer candidates than nodes on every finer level
+    assert all(b > 0 for _, _, b in seen)
+
+
+def test_zero_weight_edges_set_fm_up_over_the_whole_level(monkeypatch):
+    # a zero-weight edge can cross the cut with ext 0 at both ends, so the
+    # coarser boundary does not bound the crossing edges; the prob weight
+    # between two deep-background voxels is -log(1) = -0.0
+    data = np.full((8, 12, 12), 180, dtype=np.uint8)
+    data[:, :, :3] = 0
+    v = Volume(data, (1.0, 1.0, 1.0))
+    model = HistogramModel(0.85, 20.0, 5.0, 0.1, 180.0, 15.0, 0.02)
+    comp = connected_components(Volume(np.ones(data.shape, dtype=np.uint8)))[0]
+    g = build_graph(comp, v, model=model, cfg=EdgeWeightConfig("prob"))
+    assert (g.weights == 0).any()
+    got = []
+    spy_fm_set_up(monkeypatch, lambda *args: got.append(args[-1]))
+    bipartition(g, PartitionerConfig(seed=1))
+    assert len(got) > 1 and all(c is None for c in got)
+    got.clear()
+    bipartition(voxel_graph((8, 12, 12)), PartitionerConfig(seed=1))
+    assert any(c is not None for c in got)
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0)])
@@ -656,7 +724,7 @@ def test_voxel_graphs_stay_balanced_for_any_imbalance(monkeypatch, spacing):
         build_graph(blob_comp, blob_v, cfg=EdgeWeightConfig("const")),
         voxel_graph((12, 16, 16), spacing),  # its 4-cells fit the cap from eps 0.05 on
     ]
-    made = spy_contract(monkeypatch)
+    made = spy_levels(monkeypatch)
     box, n_four = graphs[-1], int(graphs[-1].cells[1].max()) + 1
     for g in graphs:
         n = g.n_nodes
