@@ -171,20 +171,20 @@ def _csr_from_axes(n_nodes: int, axes) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     ids are the scan-order ranks of its nodes.
 
     Every row then reads its -z, -y, -x, +x, +y and +z neighbours in the
-    order of their ids, so each node's six slots are filled in that order
-    and read out row by row, without a sort. The result equals
+    order of their ids, so each direction fills its own slot and the
+    slots are read out node by node, without a sort. The result equals
     ``csr_from_edges``.
     """
     directions = [(v, u, w) for u, v, w in reversed(axes)] + list(axes)
-    nbr = np.full((n_nodes, 6), -1, dtype=np.int32)
-    wts = np.empty((n_nodes, 6))
+    nbr = np.full((6, n_nodes), -1, dtype=np.int32)
+    wts = np.empty((6, n_nodes))
     for d, (src, dst, w) in enumerate(directions):
-        nbr[:, d][src] = dst  # through the column's view: faster than nbr[src, d]
-        wts[:, d][src] = w
+        nbr[d][src] = dst
+        wts[d][src] = w
     present = nbr >= 0
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(present.ravel())[5::6]  # entries up to the end of each row
-    return indptr, nbr[present], wts[present]
+    np.cumsum(present.sum(axis=0), out=indptr[1:])
+    return indptr, nbr.T[present.T], wts.T[present.T]
 
 
 def _block_ids(rel: np.ndarray, shape: np.ndarray, shift: np.ndarray) -> np.ndarray:
