@@ -192,12 +192,24 @@ def star_chain(rng, hubs=3, leaves=30):
     return graph_from_edge_list(hubs * (leaves + 1), edges)
 
 
+def zero_weight_graph():
+    """A prob voxel graph with zero-weight edges: the prob weight between
+    two deep-background voxels is -log(1) = -0.0."""
+    data = np.full((8, 12, 12), 180, dtype=np.uint8)
+    data[:, :, :3] = 0
+    v = Volume(data, (1.0, 1.0, 1.0))
+    model = HistogramModel(0.85, 20.0, 5.0, 0.1, 180.0, 15.0, 0.02)
+    comp = connected_components(Volume(np.ones(data.shape, dtype=np.uint8)))[0]
+    return build_graph(comp, v, model=model, cfg=EdgeWeightConfig("prob"))
+
+
 def digest_cases():
     """(name, graph, partitioner seed) for the reference digests."""
     for n in list(range(4, 17)) + [50]:
         yield f"random{n}", random_graph(np.random.default_rng(n), n)[0], n
     yield "grid", grid_graph()[1], 1
     yield "star_chain", star_chain(np.random.default_rng(11)), 4
+    yield "zero_weight", zero_weight_graph(), 1
 
 
 def test_multilevel_on_grid_graph():
@@ -283,6 +295,8 @@ def test_disconnected_graph_zero_cut():
 # grid is the only voxel graph, so only it has cells; contracting them
 # first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432), and so
 # did the 4-voxel grid level (48.0 -> 48.0, blocks 144/432 -> 384/192).
+# zero_weight is a prob voxel graph with zero-weight edges (cut 1492.08,
+# blocks 768/384).
 REFERENCE_DIGESTS = {
     "random4": "9913b375daf7c31a4e38732e7f99c34b9d3d70ce637382251d6cf24f19a42354",
     "random5": "29b5531e3f5cd676cced3146be66df2c25290f1ad2e1d064c68c3710ddb42b1e",
@@ -300,6 +314,7 @@ REFERENCE_DIGESTS = {
     "random50": "d517898b248e3d2156cd049aa698b53ab0c816838d169a7ac7dace835b4a307e",
     "grid": "87698417fc73ce8bf4ff6f2ed97b3c3368f378bc88c6f4fe260dc67d0aa3e0bf",
     "star_chain": "8f024e5fe9f643516ba5abe5f0efd2addf4a79ea8d0273a637abd68a9c9e221b",
+    "zero_weight": "ff2c97f6cda190a68e92d66cc09f6148c7a26f2c3ecc46201a9cf6ad460adc9d",
 }
 
 
@@ -694,14 +709,8 @@ def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypa
 
 def test_zero_weight_edges_set_fm_up_over_the_whole_level(monkeypatch):
     # a zero-weight edge can cross the cut with ext 0 at both ends, so the
-    # coarser boundary does not bound the crossing edges; the prob weight
-    # between two deep-background voxels is -log(1) = -0.0
-    data = np.full((8, 12, 12), 180, dtype=np.uint8)
-    data[:, :, :3] = 0
-    v = Volume(data, (1.0, 1.0, 1.0))
-    model = HistogramModel(0.85, 20.0, 5.0, 0.1, 180.0, 15.0, 0.02)
-    comp = connected_components(Volume(np.ones(data.shape, dtype=np.uint8)))[0]
-    g = build_graph(comp, v, model=model, cfg=EdgeWeightConfig("prob"))
+    # coarser boundary does not bound the crossing edges
+    g = zero_weight_graph()
     assert (g.weights == 0).any()
     got = []
     spy_fm_set_up(monkeypatch, lambda *args: got.append(args[-1]))
