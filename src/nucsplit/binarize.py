@@ -123,8 +123,10 @@ def binarize(
     """Binarize per slab group; returns the 0/1 mask and per-group results.
 
     The slabs of ``smooth_slabs(v, cfg)`` are thresholded one by one and
-    joined in z order, so the result does not depend on ``threads``.
+    joined in z order, so the result does not depend on ``threads`` (at least 1).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     smoothed = smooth_slabs(v, cfg)
     ranges = slab_ranges(v.data.shape[0], cfg.slabs)
 

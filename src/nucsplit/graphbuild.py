@@ -40,26 +40,25 @@ class ComponentGraph:
     """Compressed sparse adjacency over scan-ordered component voxels.
 
     Node i corresponds to node_coords[i]; indptr/indices/weights hold
-    both directions of every undirected edge. On a voxel graph ``cells``
-    holds one array per grid level: each node's dense id among the
-    blocks of 2, then 4 voxels (GRID_BLOCKS) along each short axis
-    (spacing under twice the smallest). Blocks are aligned to the
-    bounding box, so every 4-block holds whole 2-blocks. ``grid_levels``
-    holds each grid level as (cmap, indptr, indices, weights): the map
-    from the level before to its blocks, and their CSR adjacency, equal
-    bit for bit to ``partition._contract`` of the level before.
-    ``cells`` and ``grid_levels`` are None on an abstract graph.
+    both directions of every undirected edge. On a voxel graph
+    ``grid_levels`` holds one level per block size of GRID_BLOCKS: the
+    occupied blocks of 2, then 4 voxels along each short axis (spacing
+    under twice the smallest), numbered in scan order. Blocks are
+    aligned to the bounding box, so every 4-block holds whole 2-blocks.
+    Each level is (cmap, indptr, indices, weights, node_w): the map from
+    the level before to its blocks, their CSR adjacency, equal bit for
+    bit to ``partition._contract`` of the level before, and each block's
+    voxel count. ``grid_levels`` is None on an abstract graph.
     """
 
-    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count", "cells", "grid_levels")
+    __slots__ = ("node_coords", "indptr", "indices", "weights", "edge_count", "grid_levels")
 
-    def __init__(self, node_coords, indptr, indices, weights, cells=None, grid_levels=None):
+    def __init__(self, node_coords, indptr, indices, weights, grid_levels=None):
         self.node_coords = node_coords
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.edge_count = len(indices) // 2
-        self.cells = cells
         self.grid_levels = grid_levels
 
     @property
@@ -136,17 +135,17 @@ def build_graph(
 
     spacing = np.asarray(v.spacing)
     short = spacing < 2.0 * spacing.min()
-    cells = tuple(_block_ids(rel, shape, np.where(short, size.bit_length() - 1, 0)) for size in GRID_BLOCKS)
     grid_levels = []
     node, n_finer = np.arange(len(coords)), len(coords)  # each voxel's node on the level before
-    for ids in cells:
+    for size in GRID_BLOCKS:
+        ids = _block_ids(rel, shape, np.where(short, size.bit_length() - 1, 0))  # each voxel's block
         cmap = np.empty(n_finer, dtype=np.int64)
         cmap[node] = ids  # well defined: every block holds whole blocks of the level before
         n_cells = int(ids.max()) + 1
         axes = [_sum_axis(cmap, n_cells, *edges) for edges in axes]
-        grid_levels.append((cmap, *_csr_from_axes(n_cells, axes)))
+        grid_levels.append((cmap, *_csr_from_axes(n_cells, axes), np.bincount(ids)))
         node, n_finer = ids, n_cells
-    return ComponentGraph(coords, indptr, indices, weights, cells, tuple(grid_levels))
+    return ComponentGraph(coords, indptr, indices, weights, tuple(grid_levels))
 
 
 def _sum_axis(cmap: np.ndarray, n_cells: int, u, v, w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

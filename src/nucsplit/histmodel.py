@@ -16,7 +16,6 @@ background density for thresholding and posterior probabilities.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -128,9 +127,6 @@ class HistogramModel:
             "sigma_f": self.sigma_f,
             "alpha": self.alpha,
         }
-
-    def replace(self, **kw) -> "HistogramModel":
-        return dataclasses.replace(self, **kw)
 
 
 def otsu_threshold(h: Histogram) -> int:
@@ -259,10 +255,10 @@ def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
     return HistogramModel(p_b, mu_b, sigma_b, p_f, mu_f, sigma_f, alpha, n_levels=h.n_levels)
 
 
-def em_fit(h: Histogram, init: HistogramModel | None = None) -> HistogramModel:
-    """Fit the mixture by EM until the largest relative parameter change
-    drops below ``EM_TOL`` (or ``EM_MAX_ITER`` iterations)."""
-    m = iterative_threshold_init(h) if init is None else init.replace(n_levels=h.n_levels)
+def em_fit(h: Histogram) -> HistogramModel:
+    """Fit the mixture by EM from ``iterative_threshold_init`` until the largest
+    relative parameter change drops below ``EM_TOL`` (or ``EM_MAX_ITER`` iterations)."""
+    m = iterative_threshold_init(h)
     for _ in range(EM_MAX_ITER):
         m_new = em_step(h, m)
         rel = max(

@@ -24,11 +24,11 @@ FM (Fiduccia and Mattheyses, DAC 1982) keeps its state for a whole
 level: each node's edge weight to either block, the boundary set and
 the cut are set up once and carried from pass to pass, and after a
 pass only the moved nodes and their neighbours are recounted. Below the
-coarsest level the set-up counts only the nodes under the coarser
-level's final boundary, as METIS keeps gains for boundary vertices only
-(Karypis and Kumar, SIAM J. Sci. Comput. 1998). A pass builds its heap
-from the boundary alone and stops after FM_STALL moves without a new
-best cut, the fixed cap of METIS.
+coarsest level the set-up counts only the nodes under a coarser node
+with an edge across the coarser cut, as METIS keeps gains for boundary
+vertices only (Karypis and Kumar, SIAM J. Sci. Comput. 1998). A pass
+builds its heap from the boundary, reads neighbours as numpy slices and
+stops after FM_STALL moves without a new best cut, the fixed cap of METIS.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class _Level:
 
     def lists(self):
         """indptr, indices, weights, node weights and weighted degrees as
-        Python lists, built on first use and shared by growth, BFS and FM."""
+        Python lists, built on first use and shared by growth and BFS."""
         if self.view is None:
             deg_w = np.bincount(self.rows, weights=self.weights, minlength=self.n)
             arrays = (self.indptr, self.indices, self.weights, self.node_w, deg_w)
@@ -295,16 +295,16 @@ class _FMState:
     to its own, and ``boundary`` the nodes with ``ext > 0``. All three
     equal a fresh bincount over ``sides`` bit for bit. They are set up
     only for the ``candidates`` (ascending; every node when None), the
-    only nodes that may have an edge to the other block: any other node
-    has ``ext`` 0 and its weighted degree as ``intw``. After a pass that
-    moved few nodes, the moved nodes and their neighbours are recounted,
-    each row summed in CSR order as ``np.bincount`` sums it, so a pass
-    costs what its moves cost, not the level's size. ``side`` is the
-    caller's array, kept in step with the list ``sides``.
+    nodes under a coarser node with an edge across the coarser cut: any
+    other node has ``ext`` 0 and its weighted degree as ``intw``. After
+    a pass that moved few nodes, the moved and neighbouring nodes are
+    recounted, each row summed in CSR order as ``np.bincount`` sums it.
+    ``side`` is the caller's array, kept in step with the list ``sides``;
+    a pass reads neighbours from ``csr`` as numpy slices.
     """
 
     __slots__ = ("lv", "side", "sides", "ext", "intw", "boundary", "moved", "w0", "cut", "total_w", "max_side_w",
-                 "csr", "as_lists")
+                 "csr")
 
     def __init__(self, lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, candidates=None):
         self.lv = lv
@@ -315,13 +315,7 @@ class _FMState:
         self.w0 = int(lv.node_w[side == 0].sum())
         self.total_w = total_w
         self.max_side_w = max_side_w
-        # the coarsest level's list view is shared with growth; a finer level
-        # keeps its neighbours in numpy and is read in slices, never converted whole
-        self.as_lists = lv.view is not None
-        if self.as_lists:
-            self.csr = lv.view[:4]
-        else:
-            self.csr = (lv.indptr.tolist(), lv.indices, lv.weights, lv.node_w.tolist())
+        self.csr = (lv.indptr.tolist(), lv.indices, lv.weights, lv.node_w.tolist())
 
     def count_all(self, nodes=None) -> float:
         """Count ``ext``, ``intw`` and ``boundary`` afresh, where only ``nodes``
@@ -386,7 +380,6 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     moves without a new best cut and keeps the best prefix of its moves.
     Returns whether it kept any."""
     ptr, idx, wts, node_w = st.csr
-    as_lists = st.as_lists
     sides, ext, intw, moved = st.sides, st.ext, st.intw, st.moved
     total_w, max_side_w = st.total_w, st.max_side_w
     heap = [(intw[u] - ext[u], u) for u in st.boundary]
@@ -422,10 +415,7 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
         else:
             fruitless += 1
         a, b = ptr[u], ptr[u + 1]
-        nbrs, nbr_w = idx[a:b], wts[a:b]
-        if not as_lists:
-            nbrs, nbr_w = nbrs.tolist(), nbr_w.tolist()
-        for v, w in zip(nbrs, nbr_w):
+        for v, w in zip(idx[a:b].tolist(), wts[a:b].tolist()):
             if moved[v]:
                 continue
             if sides[v] == su:
@@ -451,23 +441,20 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     return best_len > 0
 
 
-def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, candidates=None) -> set:
-    """Refines ``side`` in place and returns its final boundary (see _FMState)."""
+def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, candidates=None) -> None:
+    """Refines ``side`` in place, with FM set up over the ``candidates`` (see _FMState)."""
     st = _FMState(lv, side, total_w, max_side_w, candidates)
     for _ in range(FM_PASSES):
-        cut = st.cut
-        if not _fm_pass(st, FM_STALL) or st.cut >= cut - 1e-12:
+        if not _fm_pass(st, FM_STALL):  # a pass that keeps a move lowers the cut by over 1e-12
             break
-    return st.boundary  # exact: every pass that moved nodes ends with a recount
 
 
 def _coarsen(g: ComponentGraph, base: _Level, cap: int, rng: np.random.Generator) -> List[_Level]:
     """The levels from ``base`` to the coarsest: first the grid levels of a
     voxel graph, as long as they pass the guards, then matching levels."""
     levels = [base]
-    for cells, (cmap, indptr, indices, weights) in zip(g.cells or (), g.grid_levels or ()):
+    for cmap, indptr, indices, weights, cell_w in g.grid_levels or ():
         lv = levels[-1]
-        cell_w = np.bincount(cells)
         # a cell heavier than the cap could unbalance the coarsest level, and
         # cells that barely shrink the level fail the matching's stall rule
         if lv.n <= COARSEN_FLOOR or cell_w.max() > cap or len(cell_w) > 0.95 * lv.n:
@@ -515,21 +502,18 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
             if key in tried:
                 continue  # FM is deterministic and only a strictly smaller cut wins
             tried.add(key)
-            cand_boundary = _fm_refine(coarsest, cand, n, max_side_w)
+            _fm_refine(coarsest, cand, n, max_side_w)
             cut = _cut_of(coarsest, cand)
             if cut < best_cut - 1e-12:
-                side, best_cut, boundary = cand, cut, cand_boundary
-    # a zero-weight edge can cross the cut with no node's ext above 0, and
-    # the cut summed without it could differ in the last bit
-    positive = bool((base.weights > 0).all())
-    for lv in reversed(levels[:-1]):
-        on_boundary = np.zeros(len(side), dtype=bool)
-        on_boundary[list(boundary)] = True
+                side, best_cut = cand, cut
+    for lv, coarser in zip(levels[-2::-1], levels[:0:-1]):
+        # a finer edge that crosses the cut joins coarser nodes across it, and
+        # coarsening keeps zero-weight edges, so only the nodes under a coarser
+        # node with a crossing entry can have one
+        crossing = np.zeros(coarser.n, dtype=bool)
+        crossing[coarser.rows[side[coarser.rows] != side[coarser.indices]]] = True
         side = side[lv.cmap]
-        # a finer edge that crosses the cut joins coarser nodes across it,
-        # so only the nodes under the coarser boundary can be on this one
-        candidates = np.flatnonzero(on_boundary[lv.cmap]) if positive else None
-        boundary = _fm_refine(lv, side, n, max_side_w, candidates)
+        _fm_refine(lv, side, n, max_side_w, np.flatnonzero(crossing[lv.cmap]))
 
     n0 = int((side == 0).sum())
     n1 = n - n0

@@ -73,6 +73,15 @@ def edge_arrays(g: ComponentGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[keep], g.indices[keep].astype(np.int64), g.weights[keep]
 
 
+def voxel_blocks(g: ComponentGraph) -> List[np.ndarray]:
+    """Each voxel's block id on each grid level, composed from the levels' maps."""
+    ids, blocks = np.arange(g.n_nodes), []
+    for cmap, *_ in g.grid_levels:
+        ids = cmap[ids]
+        blocks.append(ids)
+    return blocks
+
+
 def cut_weight(g: ComponentGraph, side: np.ndarray) -> float:
     """Total weight of the edges whose ends lie on different sides."""
     eu, ev, ew = edge_arrays(g)

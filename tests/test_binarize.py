@@ -1,3 +1,4 @@
+import threading
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,8 @@ from scipy import ndimage
 
 from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges, smooth_slabs
 from nucsplit.histmodel import Histogram, otsu_threshold
+from nucsplit.nucmodel import NucleusModelParams
+from nucsplit.splitter import segment
 from nucsplit.volume import Volume, gaussian_smooth
 
 
@@ -151,6 +154,20 @@ def test_threads_do_not_change_result():
     par_mask, par_slabs = binarize(v, cfg, threads=4)
     assert np.array_equal(seq_mask.data, par_mask.data)
     assert [s.to_dict() for s in seq_slabs] == [s.to_dict() for s in par_slabs]
+
+
+def test_threads_below_one_rejected_before_any_thread_starts(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    v = Volume(np.random.default_rng(6).integers(0, 255, size=(8, 10, 10)).astype(np.uint8))
+    cfg = BinarizationConfig("otsu", slabs=4)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            binarize(v, cfg, threads=threads)
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            segment(v, NucleusModelParams(v_min=10.0, v_max=100.0), bin_cfg=cfg, threads=threads)
 
 
 @pytest.mark.parametrize("slabs", [1, 3])

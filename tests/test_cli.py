@@ -104,6 +104,16 @@ def test_binarize_reports_thresholds(tmp_path, scene_cfg, pipeline_cfg, capsys):
     assert set(np.unique(mask.data).tolist()) <= {0, 1}
 
 
+def test_threads_below_one_exit_2(tmp_path, pipeline_cfg, capsys):
+    vol = flat_volume(tmp_path)
+    for command in ("binarize", "segment"):
+        rc = cli_main([command, "--in", vol, "--config", str(pipeline_cfg), "--out", str(tmp_path / "out.rvol"),
+                       "--threads", "0"])
+        assert rc == 2
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.rvol").exists()
+
+
 def test_segment_roundtrip_and_determinism(tmp_path, scene_cfg, pipeline_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
     common = [

@@ -8,7 +8,7 @@ from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph, c
 from nucsplit.histmodel import HistogramModel, background_posterior
 from nucsplit.partition import _contract, _cut_of, _Level
 from nucsplit.volume import Component, Volume, connected_components
-from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays, graph_from_edge_list
+from oracles import csr_from_edges_lexsort, cut_weight, edge_arrays, graph_from_edge_list, voxel_blocks
 
 
 def comps_of(mask, spacing=(1.0, 1.0, 1.0)):
@@ -251,12 +251,14 @@ def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
     for comp in comps_of(mask, spacing):
         g = build_graph(comp, v)
         coords = comp.coords
-        assert len(g.cells) == len(graphbuild.GRID_BLOCKS) == 2
-        for level, (cells, size) in enumerate(zip(g.cells, graphbuild.GRID_BLOCKS)):
+        assert len(g.grid_levels) == len(graphbuild.GRID_BLOCKS) == 2
+        blocks = voxel_blocks(g)
+        for level, (cells, size) in enumerate(zip(blocks, graphbuild.GRID_BLOCKS)):
             size_block = np.where(np.array(block) == 2, size, 1)  # the 2-block, then the 4-block
             k = int(cells.max()) + 1
             assert np.array_equal(np.unique(cells), np.arange(k))  # dense ids 0..k-1
             assert np.bincount(cells).sum() == g.n_nodes
+            assert np.array_equal(g.grid_levels[level][-1], np.bincount(cells))  # each block's voxel count
             for c in range(k):
                 assert (np.ptp(coords[cells == c], axis=0) < size_block).all()  # within one block
             # voxels share a cell exactly when they share a block of the component's grid
@@ -266,10 +268,10 @@ def test_cells_are_dense_blocks_along_the_short_axes(spacing, block):
             # and the ids are the scan-order ranks of the blocks
             key = (rel[:, 2] * 100 + rel[:, 1]) * 100 + rel[:, 0]
             assert np.array_equal(cells, np.unique(key, return_inverse=True)[1])
-            finer = g.n_nodes if level == 0 else int(g.cells[level - 1].max()) + 1
+            finer = g.n_nodes if level == 0 else len(g.grid_levels[level - 1][-1])
             checked[level] += k < finer
         # each 2-block cell lies inside exactly one 4-block cell
-        two, four = g.cells
+        two, four = blocks
         assert len(set(zip(two.tolist(), four.tolist()))) == int(two.max()) + 1
     assert min(checked) > 0
 
@@ -297,16 +299,19 @@ def test_grid_levels_equal_the_contractions_bit_for_bit(spacing):
         for comp in comps_of(mask, spacing):
             for cfg in schemes:
                 g = build_graph(comp, v, model=model, cfg=cfg)
-                assert len(g.grid_levels) == len(g.cells) == 2
+                assert len(g.grid_levels) == 2
                 lv = _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(g.n_nodes, np.int64))
                 node = np.arange(g.n_nodes)  # each voxel's node on lv
-                for level, (cells, (cmap, indptr, indices, weights)) in enumerate(zip(g.cells, g.grid_levels)):
-                    assert np.array_equal(cmap[node], cells)  # the map from the level before
-                    lv = _contract(lv, cmap, int(cells.max()) + 1)
+                for level, (cells, (cmap, indptr, indices, weights, node_w)) in enumerate(
+                    zip(voxel_blocks(g), g.grid_levels)
+                ):
+                    assert len(cmap) == lv.n and np.array_equal(cmap[node], cells)  # the map from the level before
+                    lv = _contract(lv, cmap, len(node_w))
                     assert np.array_equal(indptr, lv.indptr)
                     assert np.array_equal(indices, lv.indices)
                     assert weights.tobytes() == lv.weights.tobytes()
-                    assert np.array_equal(np.bincount(cells), lv.node_w)  # the node weights bipartition forms
+                    assert np.array_equal(np.bincount(cells), lv.node_w)
+                    assert np.array_equal(node_w, lv.node_w)  # the level's own node weights
                     summed[level] += (lv.node_w > 1).any() and len(indices) > 0
                     node = cells
     assert min(summed) > 0
@@ -314,4 +319,4 @@ def test_grid_levels_equal_the_contractions_bit_for_bit(spacing):
 
 def test_abstract_graphs_have_no_cells():
     g = graph_from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    assert g.cells is None and g.grid_levels is None
+    assert g.grid_levels is None and not hasattr(g, "cells")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def test_model_eval_rejects_out_of_range():
     m = reference_model()
     with pytest.raises(ValueError):
         model_eval(m, -1.0)
-    bounded = m.replace(n_levels=256)
+    bounded = replace(m, n_levels=256)
     with pytest.raises(ValueError):
         model_eval(bounded, 256)
     nb, _, _, _ = model_eval(bounded, 255)
@@ -281,8 +282,8 @@ def test_em_reports_foreground_collapse():
         np.rint(rng.normal(20, 5, 100_000)).clip(0, 255).astype(np.int64), n_levels=256
     )
     bad_init = HistogramModel(0.99, 20.0, 5.0, 0.01, 200.0, 5.0, 0.01)
-    with pytest.raises(FitFailure):
-        em_fit(h, init=bad_init)
+    with pytest.raises(FitFailure, match="foreground prior collapsed"):
+        em_step(h, bad_init)
 
 
 def test_em_nb_f_log_likelihood_never_decreases():

@@ -40,6 +40,7 @@ from oracles import (
     graph_from_edge_list,
     greedy_match,
     grow_initial,
+    voxel_blocks,
 )
 
 
@@ -292,7 +293,7 @@ def test_disconnected_graph_zero_cut():
 # with n <= 16 never coarsen, and star_chain's matching stalls at once, so
 # those digests predate the numpy matching. It re-recorded random50 (cut
 # 205.33 -> 208.13) and grid (48.0 -> 48.0, blocks 336/240 -> 192/384).
-# grid is the only voxel graph, so only it has cells; contracting them
+# grid was the only voxel graph, so only it had cells; contracting them
 # first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432), and so
 # did the 4-voxel grid level (48.0 -> 48.0, blocks 144/432 -> 384/192).
 # zero_weight is a prob voxel graph with zero-weight edges (cut 1492.08,
@@ -417,8 +418,6 @@ def test_fm_state_stays_a_fresh_bincount_after_every_pass(monkeypatch):
     rng = np.random.default_rng(12)
     levels = [(weighted_level(rng), None) for _ in range(30)]
     levels += [(grid_level(rng, (16, 12, 12)), (16, 12, 12)) for _ in range(2)]
-    for lv, _ in levels[::2]:
-        lv.lists()  # FM reads a level with a list view through it, as on the coarsest level
     for lv, shape in levels:
         total_w = int(lv.node_w.sum())
         max_w = math.floor(1.5 * ((total_w + 1) // 2) + 1e-9)
@@ -540,10 +539,10 @@ def test_contract_matches_the_plain_aggregation():
                 g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=40.0))
                 n = g.n_nodes
                 lv = _Level(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.weights, np.ones(n, np.int64))
-                two, four = g.cells
+                two, four = voxel_blocks(g)
                 n_two, n_four = int(two.max()) + 1, int(four.max()) + 1
                 coarse = check_contract(lv, two, n_two)
-                up = np.empty(n_two, np.int64)  # the cell -> 4-cell map, as bipartition forms it
+                up = np.empty(n_two, np.int64)  # the cell -> 4-cell map
                 up[two] = four
                 check_contract(coarse, up, n_four)
                 merged[0] += n_two < n
@@ -578,10 +577,15 @@ def voxel_graph(shape_zyx, spacing=(1.0, 1.0, 1.0)):
     return build_graph(connected_components(v)[0], v, cfg=EdgeWeightConfig("const"))
 
 
+def block_counts(g):
+    """The number of blocks on each grid level of ``g``."""
+    return [len(node_w) for *_, node_w in g.grid_levels]
+
+
 def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
     g = voxel_graph((4, 6, 6))
-    n, n_cells = g.n_nodes, int(g.cells[0].max()) + 1
-    assert n > 40 and np.bincount(g.cells[0]).max() == 8 and n_cells <= 40
+    n, n_cells = g.n_nodes, block_counts(g)[0]
+    assert n > 40 and g.grid_levels[0][-1].max() == 8 and n_cells <= 40
     made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=2))
     assert [lv.n for lv in made] == [n_cells]  # the default cap, 36, admits cells of 8; 18 is coarse enough
@@ -596,7 +600,7 @@ def test_cell_level_skipped_when_a_cell_outweighs_the_cap(monkeypatch):
 def test_four_level_skipped_when_a_four_cell_outweighs_the_cap(monkeypatch):
     g = voxel_graph((12, 12, 12))
     n = g.n_nodes
-    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    n_two, n_four = block_counts(g)
     assert (n_two, n_four) == (216, 27)
     made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=2))
@@ -611,7 +615,7 @@ def test_four_level_skipped_when_a_four_cell_outweighs_the_cap(monkeypatch):
 
 def test_grid_levels_stop_at_the_coarsening_floor(monkeypatch):
     g = voxel_graph((4, 8, 8))
-    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    n_two, n_four = block_counts(g)
     assert (n_two, n_four) == (32, 4)  # the cap, 64, would admit the 4-cells of 64
     made = spy_levels(monkeypatch)
     bipartition(g, PartitionerConfig(seed=5))
@@ -628,7 +632,7 @@ def test_four_level_skipped_when_it_barely_shrinks_the_cells(monkeypatch):
     mask[30, :, 2:] = True
     v = Volume(mask.astype(np.uint8), (1.0, 1.0, 5.0))
     g = build_graph(connected_components(v)[0], v, cfg=EdgeWeightConfig("const"))
-    n_two, n_four = (int(cells.max()) + 1 for cells in g.cells)
+    n_two, n_four = block_counts(g)
     assert (g.n_nodes, n_two, n_four) == (244, 61, 60)
     made = spy_levels(monkeypatch)
     b = bipartition(g, PartitionerConfig(seed=4))
@@ -640,7 +644,7 @@ def test_four_level_skipped_when_it_barely_shrinks_the_cells(monkeypatch):
 def test_cell_level_skipped_when_cells_barely_shrink_the_level(monkeypatch):
     # one voxel wide along z at spacing (1, 1, 5): cells are 2x2x1, so one voxel each
     g = voxel_graph((60, 1, 1), (1.0, 1.0, 5.0))
-    assert g.n_nodes == 60 and int(g.cells[0].max()) + 1 == 60
+    assert g.n_nodes == 60 and block_counts(g)[0] == 60
     made = spy_levels(monkeypatch)
     b = bipartition(g, PartitionerConfig(seed=4))
     assert made[0].n <= 0.95 * 60  # the matching's level, not the cells'
@@ -658,7 +662,7 @@ def test_fm_refines_every_level_down_to_the_voxels(monkeypatch):
 
     monkeypatch.setattr(partition, "_fm_refine", refine_spy)
     bipartition(g, PartitionerConfig(seed=1))
-    assert [lv.n for lv in made[:2]] == [int(cells.max()) + 1 for cells in g.cells]
+    assert [lv.n for lv in made[:2]] == block_counts(g)
     finer = [g.n_nodes] + [lv.n for lv in made[:-1]]  # every level but the coarsest
     assert refined[-len(finer):] == finer[::-1]
 
@@ -674,8 +678,11 @@ def spy_fm_set_up(monkeypatch, check):
     monkeypatch.setattr(partition, "_fm_refine", refine)
 
 
-def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypatch):
-    seen = []
+def check_candidate_set_up(seen):
+    """A ``spy_fm_set_up`` check: below the coarsest level, the state built
+    from the candidates equals fresh whole-level bincounts bit for bit.
+    Appends (nodes, candidates, boundary nodes, crossing zero-weight
+    entries) of each finer level to ``seen``."""
 
     def check(lv, side, total_w, max_side_w, candidates):
         if candidates is None:
@@ -688,11 +695,16 @@ def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypa
         assert np.array(st.intw).tobytes() == intw.tobytes()
         boundary = np.flatnonzero(ext > 0)
         assert st.boundary == set(boundary.tolist())
-        assert np.isin(boundary, candidates).all()
+        assert np.isin(lv.rows[~same], candidates).all()  # every row with a crossing entry
         assert st.cut == _cut_of(lv, side)
-        seen.append((lv.n, len(candidates), len(boundary)))
+        seen.append((lv.n, len(candidates), len(boundary), int((lv.weights[~same] == 0).sum())))
 
-    spy_fm_set_up(monkeypatch, check)
+    return check
+
+
+def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypatch):
+    seen = []
+    spy_fm_set_up(monkeypatch, check_candidate_set_up(seen))
     rng = np.random.default_rng(43)
     for spacing in ((1.0, 1.0, 1.0), (1.0, 1.0, 5.0)):
         for trial in range(3):
@@ -702,23 +714,22 @@ def test_fm_set_up_from_the_coarser_boundary_equals_a_whole_level_count(monkeypa
             g = build_graph(comp, v, cfg=EdgeWeightConfig("grad", sigma_grad=40.0))
             bipartition(g, PartitionerConfig(seed=trial))
         bipartition(voxel_graph((8, 16, 16), spacing), PartitionerConfig(seed=3))
-    assert any(n > 1000 for n, _, _ in seen)
-    assert all(k < n for n, k, _ in seen)  # fewer candidates than nodes on every finer level
-    assert all(b > 0 for _, _, b in seen)
+    assert any(n > 1000 for n, _, _, _ in seen)
+    assert all(k < n for n, k, _, _ in seen)  # fewer candidates than nodes on every finer level
+    assert all(b > 0 for _, _, b, _ in seen)
 
 
-def test_zero_weight_edges_set_fm_up_over_the_whole_level(monkeypatch):
-    # a zero-weight edge can cross the cut with ext 0 at both ends, so the
-    # coarser boundary does not bound the crossing edges
+def test_zero_weight_edges_set_fm_up_from_the_coarser_cut(monkeypatch):
+    # a zero-weight edge can cross the cut with ext 0 at both ends; coarsening
+    # keeps it, so the nodes under it are candidates all the same
     g = zero_weight_graph()
     assert (g.weights == 0).any()
-    got = []
-    spy_fm_set_up(monkeypatch, lambda *args: got.append(args[-1]))
+    seen = []
+    spy_fm_set_up(monkeypatch, check_candidate_set_up(seen))
     bipartition(g, PartitionerConfig(seed=1))
-    assert len(got) > 1 and all(c is None for c in got)
-    got.clear()
-    bipartition(voxel_graph((8, 12, 12)), PartitionerConfig(seed=1))
-    assert any(c is not None for c in got)
+    assert len(seen) > 1
+    assert all(k < n for n, k, _, _ in seen)  # zero-weight graphs get candidates too
+    assert all(z > 0 for _, _, _, z in seen)  # and zero-weight entries cross every finer cut
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0)])
@@ -734,7 +745,7 @@ def test_voxel_graphs_stay_balanced_for_any_imbalance(monkeypatch, spacing):
         voxel_graph((12, 16, 16), spacing),  # its 4-cells fit the cap from eps 0.05 on
     ]
     made = spy_levels(monkeypatch)
-    box, n_four = graphs[-1], int(graphs[-1].cells[1].max()) + 1
+    box, n_four = graphs[-1], block_counts(graphs[-1])[1]
     for g in graphs:
         n = g.n_nodes
         for eps in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.8, 0.99):
