@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph
-from nucsplit.histmodel import HistogramModel
+from nucsplit.histmodel import Histogram, HistogramModel, em_fit
 from nucsplit.partition import (
     FM_PASSES,
     FM_STALL,
@@ -204,6 +204,18 @@ def zero_weight_graph():
     return build_graph(comp, v, model=model, cfg=EdgeWeightConfig("prob"))
 
 
+def clipped_levels_graph():
+    """A prob voxel graph whose model is fitted on the levels up to 200
+    only, while 65 of its voxels lie above the fit's top level."""
+    rng = np.random.default_rng(5)
+    data = np.rint(rng.normal(110, 30, (8, 12, 12))).clip(0, 255).astype(np.uint8)
+    data[:, :, :3] = np.rint(rng.normal(40, 12, (8, 12, 3))).clip(0, 255).astype(np.uint8)
+    data[2:6, 4:8, 8:] = 240
+    model = em_fit(Histogram.from_values(data[data <= 200].astype(np.int64)))
+    comp = connected_components(Volume(np.ones(data.shape, dtype=np.uint8)))[0]
+    return build_graph(comp, Volume(data), model=model, cfg=EdgeWeightConfig("prob"))
+
+
 def digest_cases():
     """(name, graph, partitioner seed) for the reference digests."""
     for n in list(range(4, 17)) + [50]:
@@ -211,6 +223,7 @@ def digest_cases():
     yield "grid", grid_graph()[1], 1
     yield "star_chain", star_chain(np.random.default_rng(11)), 4
     yield "zero_weight", zero_weight_graph(), 1
+    yield "clipped_levels", clipped_levels_graph(), 2
 
 
 def test_multilevel_on_grid_graph():
@@ -297,7 +310,8 @@ def test_disconnected_graph_zero_cut():
 # first moved it again (48.0 -> 48.0, blocks 192/384 -> 144/432), and so
 # did the 4-voxel grid level (48.0 -> 48.0, blocks 144/432 -> 384/192).
 # zero_weight is a prob voxel graph with zero-weight edges (cut 1492.08,
-# blocks 768/384).
+# blocks 768/384). clipped_levels is a prob voxel graph with voxels above
+# its model's top fitted level (cut 1290.95, blocks 767/385).
 REFERENCE_DIGESTS = {
     "random4": "9913b375daf7c31a4e38732e7f99c34b9d3d70ce637382251d6cf24f19a42354",
     "random5": "29b5531e3f5cd676cced3146be66df2c25290f1ad2e1d064c68c3710ddb42b1e",
@@ -316,6 +330,7 @@ REFERENCE_DIGESTS = {
     "grid": "87698417fc73ce8bf4ff6f2ed97b3c3368f378bc88c6f4fe260dc67d0aa3e0bf",
     "star_chain": "8f024e5fe9f643516ba5abe5f0efd2addf4a79ea8d0273a637abd68a9c9e221b",
     "zero_weight": "ff2c97f6cda190a68e92d66cc09f6148c7a26f2c3ecc46201a9cf6ad460adc9d",
+    "clipped_levels": "3fd2b3491ca79cc4f276366008d65a1cbe3e852d45d9628c2287fe3b935a6420",
 }
 
 
