@@ -56,14 +56,6 @@ class SlabResult:
     threshold: int
     model: Optional[HistogramModel]
 
-    def to_dict(self) -> dict:
-        return {
-            "z_lo": self.z_lo,
-            "z_hi": self.z_hi,
-            "threshold": self.threshold,
-            "model": None if self.model is None else self.model.to_dict(),
-        }
-
 
 def slab_ranges(sz: int, m: int) -> List[Tuple[int, int]]:
     """Split ``sz`` slices into ``m`` contiguous near-equal groups; the
@@ -97,8 +89,6 @@ def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
 
 def _binarize_slab(smoothed: Volume, z_lo: int, z_hi: int, cfg: BinarizationConfig):
     q = np.rint(smoothed.data[z_lo:z_hi]).astype(np.int64)
-    if q.min() < 0:
-        raise ValueError("negative gray levels cannot be binarized")
     hist = Histogram.from_values(q)
     model: Optional[HistogramModel] = None
     if len(hist.occupied()) < 2:

@@ -157,7 +157,7 @@ def cmd_binarize(args: argparse.Namespace) -> int:
             {
                 "command": "binarize",
                 "config": cfg.to_dict(),
-                "slabs": [s.to_dict() for s in slabs],
+                "slabs": [dataclasses.asdict(s) for s in slabs],
                 "foreground_voxels": int(mask.data.sum()),
                 "output": args.out,
             }

@@ -10,6 +10,7 @@ up as merges and splits.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -34,18 +35,7 @@ class EvalReport:
     split_pct: float = field(default=0.0)
 
     def to_dict(self) -> Dict:
-        return {
-            "gt_count": self.gt_count,
-            "predicted_count": self.predicted_count,
-            "missed": self.missed,
-            "added": self.added,
-            "merged": self.merged,
-            "split": self.split,
-            "missed_pct": self.missed_pct,
-            "added_pct": self.added_pct,
-            "merged_pct": self.merged_pct,
-            "split_pct": self.split_pct,
-        }
+        return dataclasses.asdict(self)
 
     def format_table(self) -> str:
         rows = [

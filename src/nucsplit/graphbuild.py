@@ -82,14 +82,6 @@ def csr_from_edges(n_nodes: int, eu, ev, ew) -> Tuple[np.ndarray, np.ndarray, np
     return indptr, cols[order].astype(np.int32), wts[order]
 
 
-def _posteriors(values: np.ndarray, model: HistogramModel) -> np.ndarray:
-    # posterior model is over integer gray bins; snap and clip into range
-    bins = np.rint(values).astype(np.int64)
-    hi = model.n_levels - 1 if model.n_levels is not None else None
-    bins = np.clip(bins, 0, hi)
-    return background_posterior(model, bins)
-
-
 def build_graph(
     c: Component,
     v: Volume,
@@ -111,7 +103,7 @@ def build_graph(
     else:
         node_vals = v.data[coords[:, 2], coords[:, 1], coords[:, 0]].astype(np.float64)
     if cfg.scheme == "prob":
-        node_post = _posteriors(node_vals, model)
+        node_post = background_posterior(model, np.clip(np.rint(node_vals), 0, None))  # on gray bins
 
     axes = []  # each axis's +edges (u, v, w): u ascending, v its +neighbour
     for axis, step in ((0, v.spacing[0]), (1, v.spacing[1]), (2, v.spacing[2])):

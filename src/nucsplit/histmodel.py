@@ -84,12 +84,7 @@ class Histogram:
 
 @dataclass(frozen=True)
 class HistogramModel:
-    """The seven fitted mixture parameters.
-
-    ``n_levels`` is bookkeeping carried over from the fitted histogram so
-    evaluation can reject out-of-range levels; it is not part of the model
-    value and not serialized.
-    """
+    """The seven fitted mixture parameters."""
 
     p_b: float
     mu_b: float
@@ -98,7 +93,6 @@ class HistogramModel:
     mu_f: float
     sigma_f: float
     alpha: float
-    n_levels: int | None = None
 
     def __post_init__(self):
         if not all(
@@ -116,17 +110,6 @@ class HistogramModel:
             raise ValueError("sigmas must be > 0")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "p_b": self.p_b,
-            "mu_b": self.mu_b,
-            "sigma_b": self.sigma_b,
-            "p_f": self.p_f,
-            "mu_f": self.mu_f,
-            "sigma_f": self.sigma_f,
-            "alpha": self.alpha,
-        }
 
 
 def otsu_threshold(h: Histogram) -> int:
@@ -186,20 +169,14 @@ def iterative_threshold_init(h: Histogram) -> HistogramModel:
         mu_f=float((cum_m[-1] - cum_m[k]) / (1.0 - cum_w[k])),
         sigma_f=1.0,
         alpha=0.01,
-        n_levels=h.n_levels,
     )
 
 
 def model_eval(m: HistogramModel, i):
-    """Evaluate (NB, IB, F, NB+IB+F) at gray level(s) ``i``.
-
-    Accepts scalars or arrays; scalar input yields scalar floats.
-    """
+    """Evaluate (NB, IB, F, NB+IB+F) at the gray levels ``i``."""
     arr = np.asarray(i, dtype=np.float64)
     if arr.size and float(arr.min()) < 0:
         raise ValueError("gray levels must be >= 0")
-    if m.n_levels is not None and arr.size and float(arr.max()) > m.n_levels - 1:
-        raise ValueError(f"gray level beyond top level {m.n_levels - 1}")
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     nb = m.p_b * norm / m.sigma_b * np.exp(-((arr - m.mu_b) ** 2) / (2.0 * m.sigma_b**2))
     f = m.p_f * norm / m.sigma_f * np.exp(-((arr - m.mu_f) ** 2) / (2.0 * m.sigma_f**2))
@@ -208,10 +185,7 @@ def model_eval(m: HistogramModel, i):
     if support.any():
         d = arr[support] - m.mu_b
         ib[support] = 2.0 * m.alpha * m.p_f / d * np.log((m.mu_f - m.mu_b) / d)
-    total = nb + ib + f
-    if np.isscalar(i) or arr.ndim == 0:
-        return float(nb), float(ib), float(f), float(total)
-    return nb, ib, f, total
+    return nb, ib, f, nb + ib + f
 
 
 def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
@@ -252,7 +226,7 @@ def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
         # the truncated bridge integrates to alpha * p_f * log^2(eps);
         # inverting that keeps the refit self-consistent
         alpha = max(bridge_mass / (p_f * math.log(eps) ** 2), ALPHA_FLOOR)
-    return HistogramModel(p_b, mu_b, sigma_b, p_f, mu_f, sigma_f, alpha, n_levels=h.n_levels)
+    return HistogramModel(p_b, mu_b, sigma_b, p_f, mu_f, sigma_f, alpha)
 
 
 def em_fit(h: Histogram) -> HistogramModel:
@@ -281,8 +255,6 @@ def model_threshold(m: HistogramModel) -> int:
     as foreground."""
     lo = int(math.floor(m.mu_b)) + 1
     hi = int(math.floor(m.mu_f))
-    if m.n_levels is not None:
-        hi = min(hi, m.n_levels - 1)
     if hi >= max(lo, 0):
         i = np.arange(max(lo, 0), hi + 1, dtype=np.float64)
         nb, ib, f, _ = model_eval(m, i)
@@ -300,12 +272,8 @@ def background_posterior(m: HistogramModel, i):
     """
     nb, ib, f, total = model_eval(m, i)
     arr = np.asarray(i, dtype=np.float64)
-    b = np.asarray(nb) + np.asarray(ib)
-    total = np.asarray(total)
+    b = nb + ib
     nearer_b = np.abs(arr - m.mu_b) / m.sigma_b <= np.abs(arr - m.mu_f) / m.sigma_f
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(total > 0, b / np.where(total > 0, total, 1.0), np.where(nearer_b, 1.0, 0.0))
-    p = np.clip(p, POSTERIOR_FLOOR, 1.0)
-    if np.isscalar(i) or arr.ndim == 0:
-        return float(p)
-    return p
+    return np.clip(p, POSTERIOR_FLOOR, 1.0)

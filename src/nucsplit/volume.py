@@ -74,11 +74,6 @@ class Volume:
     def dtype_code(self) -> str:
         return _CODE_OF[self.data.dtype]
 
-    @property
-    def voxel_volume(self) -> float:
-        dx, dy, dz = self.spacing
-        return dx * dy * dz
-
     def __eq__(self, other):
         return (
             isinstance(other, Volume)

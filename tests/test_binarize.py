@@ -1,6 +1,6 @@
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -153,7 +153,7 @@ def test_threads_do_not_change_result():
     seq_mask, seq_slabs = binarize(v, cfg, threads=1)
     par_mask, par_slabs = binarize(v, cfg, threads=4)
     assert np.array_equal(seq_mask.data, par_mask.data)
-    assert [s.to_dict() for s in seq_slabs] == [s.to_dict() for s in par_slabs]
+    assert [asdict(s) for s in seq_slabs] == [asdict(s) for s in par_slabs]
 
 
 def test_threads_below_one_rejected_before_any_thread_starts(monkeypatch):
@@ -187,12 +187,12 @@ def test_binarize_thresholds_the_smoothed_slabs(slabs):
     mask, results = binarize(v, cfg)
     again, again_results = binarize(smoothed, replace(cfg, sigma_smooth=0.0))
     assert np.array_equal(mask.data, again.data)
-    assert [s.to_dict() for s in results] == [s.to_dict() for s in again_results]
+    assert [asdict(s) for s in results] == [asdict(s) for s in again_results]
 
 
 def test_negative_values_rejected():
     v = Volume(np.full((2, 4, 4), -5.0, dtype=np.float32))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative gray levels not allowed"):
         binarize(v)
 
 
@@ -219,7 +219,7 @@ def test_slab_result_serializable():
     vals = np.concatenate([rng.normal(30, 5, 3000), rng.normal(150, 12, 1000)])
     v = Volume(np.clip(np.rint(vals), 0, 255).reshape(10, 20, 20).astype(np.uint8))
     _, slabs = binarize(v, BinarizationConfig("otsu", slabs=2))
-    d = slabs[1].to_dict()
+    d = asdict(slabs[1])
     assert d["z_lo"] == 5 and d["z_hi"] == 10
     assert isinstance(d["threshold"], int)
     assert d["model"] is None or "mu_b" in d["model"]

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,11 +220,6 @@ def test_model_eval_rejects_out_of_range():
     m = reference_model()
     with pytest.raises(ValueError):
         model_eval(m, -1.0)
-    bounded = replace(m, n_levels=256)
-    with pytest.raises(ValueError):
-        model_eval(bounded, 256)
-    nb, _, _, _ = model_eval(bounded, 255)
-    assert nb >= 0.0
 
 
 def test_model_validation():
@@ -240,7 +235,7 @@ def test_model_validation():
 
 def test_model_json_roundtrip():
     m = reference_model()
-    d = m.to_dict()
+    d = asdict(m)
     assert sorted(d) == ["alpha", "mu_b", "mu_f", "p_b", "p_f", "sigma_b", "sigma_f"]
     assert json.loads(json.dumps(d)) == {k: getattr(m, k) for k in d}
 
@@ -272,7 +267,7 @@ def test_em_fixpoint_is_stable():
     h = sample_histogram(reference_model(), 500_000, seed=11)
     fitted = em_fit(h)
     stepped = em_step(h, fitted)
-    for a, b in zip(fitted.to_dict().values(), stepped.to_dict().values()):
+    for a, b in zip(asdict(fitted).values(), asdict(stepped).values()):
         assert b == pytest.approx(a, rel=2e-3, abs=1e-6)
 
 

@@ -49,11 +49,6 @@ def test_volume_rejects_spacing_that_is_not_finite_and_positive(bad):
         Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1.0, 1.0, bad))
 
 
-def test_voxel_volume():
-    v = make_volume((3, 3, 3), spacing=(0.5, 0.5, 2.0))
-    assert v.voxel_volume == pytest.approx(0.5)
-
-
 def test_gaussian_kernel_shape_and_mass():
     for sigma in (0.3, 0.7, 1.0, 1.9, 3.2):
         k = gaussian_kernel_1d(sigma)
