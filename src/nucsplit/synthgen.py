@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 from scipy import ndimage
 
-from .volume import Volume
+from .volume import Volume, check_spacing
 
 __all__ = ["SceneConfig", "PlacementError", "generate"]
 
@@ -54,8 +54,11 @@ class SceneConfig:
         sx, sy, sz = self.size
         if min(sx, sy, sz) < 1:
             raise ValueError("size must be positive")
-        if min(self.spacing) <= 0:
-            raise ValueError("spacing must be positive")
+        check_spacing(self.spacing)
+        object.__setattr__(self, "psf_sigma", _triple(self.psf_sigma))
+        for name in ("semi_axis_range", "mu_b", "mu_f", "noise_sigma", "psf_sigma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nucleus_count < 0:
             raise ValueError("nucleus_count must be >= 0")
         lo, hi = self.semi_axis_range
@@ -67,7 +70,6 @@ class SceneConfig:
             raise ValueError("need mu_b < mu_f")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        object.__setattr__(self, "psf_sigma", _triple(self.psf_sigma))
         if min(self.psf_sigma) < 0:
             raise ValueError("psf sigma must be >= 0")
         if not 0.0 <= self.z_decay < 1.0:

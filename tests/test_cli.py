@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +380,30 @@ def test_infinite_spacing_in_the_header_exits_2(tmp_path, pipeline_cfg, capsys):
     rc = cli_main(["segment", "--in", vol, "--config", str(pipeline_cfg), "--out", out])
     assert rc == 2
     assert "spacing must be finite and > 0" in capsys.readouterr().err
+
+
+def test_synth_with_nan_spacing_exits_2(tmp_path, scene_cfg, capsys):
+    raw = json.loads(scene_cfg.read_text())
+    raw["spacing"] = [1.0, 1.0, float("nan")]
+    scene_cfg.write_text(json.dumps(raw))  # written as the bare token NaN
+    rc = cli_main(["synth", "--config", str(scene_cfg), "--out-prefix", str(tmp_path / "s")])
+    assert rc == 2
+    assert "spacing must be finite and > 0" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "nucsplit", "segment", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert run.returncode == 0
+    assert "--threads" in run.stdout
 
 
 def test_spacing_too_anisotropic_for_the_cut_metric_exits_2(tmp_path, pipeline_cfg, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,27 @@ def test_config_validation():
         SceneConfig(size=(32, 32, 32), noise_sigma=-1.0)
     with pytest.raises(ValueError):
         SceneConfig(size=(32, 32, 32), z_decay=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spacing", (1.0, 1.0, math.nan)),
+        ("spacing", (math.inf, 1.0, 1.0)),
+        ("semi_axis_range", (2.0, math.inf)),
+        ("semi_axis_range", (math.nan, 4.0)),
+        ("mu_b", -math.inf),
+        ("mu_f", math.inf),
+        ("mu_f", math.nan),
+        ("noise_sigma", math.nan),
+        ("noise_sigma", math.inf),
+        ("psf_sigma", (math.nan, 1.0, 1.0)),
+        ("psf_sigma", math.inf),
+    ],
+)
+def test_config_rejects_non_finite_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SceneConfig(size=(32, 32, 32), **{field: value})
 
 
 def test_empty_scene():
