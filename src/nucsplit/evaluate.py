@@ -10,8 +10,7 @@ up as merges and splits.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -35,7 +34,7 @@ class EvalReport:
     split_pct: float = field(default=0.0)
 
     def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [
