@@ -10,7 +10,6 @@ strictly above the group threshold. ``segment`` smooths each slab once
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -25,7 +24,7 @@ from .histmodel import (
     model_threshold,
     otsu_threshold,
 )
-from .volume import Volume, gaussian_smooth
+from .volume import Volume, check_int, gaussian_smooth
 
 __all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "smooth_slabs", "binarize"]
 
@@ -41,10 +40,9 @@ class BinarizationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown binarization method {self.method!r}")
-        if self.sigma_smooth < 0:
-            raise ValueError("sigma_smooth must be >= 0")
-        if self.slabs < 1:
-            raise ValueError("slab count must be >= 1")
+        if not 0 <= self.sigma_smooth < np.inf:
+            raise ValueError(f"sigma_smooth must be finite and >= 0, got {self.sigma_smooth}")
+        check_int("slabs", self.slabs, 1)
 
 
 @dataclass(frozen=True)
@@ -107,26 +105,14 @@ def _binarize_slab(smoothed: Volume, z_lo: int, z_hi: int, cfg: BinarizationConf
     return (q > t).astype(np.uint8), SlabResult(z_lo, z_hi, int(t), model)
 
 
-def binarize(
-    v: Volume, cfg: BinarizationConfig = BinarizationConfig(), threads: int = 1
-) -> Tuple[Volume, List[SlabResult]]:
+def binarize(v: Volume, cfg: BinarizationConfig = BinarizationConfig()) -> Tuple[Volume, List[SlabResult]]:
     """Binarize per slab group; returns the 0/1 mask and per-group results.
 
     The slabs of ``smooth_slabs(v, cfg)`` are thresholded one by one and
-    joined in z order, so the result does not depend on ``threads`` (at least 1).
+    joined in z order.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     smoothed = smooth_slabs(v, cfg)
     ranges = slab_ranges(v.data.shape[0], cfg.slabs)
-
-    def run(zr):
-        return _binarize_slab(smoothed, zr[0], zr[1], cfg)
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
-    else:
-        results = [run(zr) for zr in ranges]
+    results = [_binarize_slab(smoothed, z_lo, z_hi, cfg) for z_lo, z_hi in ranges]
     mask = np.concatenate([sub for sub, _ in results])
     return Volume(mask, v.spacing), [res for _, res in results]

@@ -150,7 +150,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_binarize(args: argparse.Namespace) -> int:
     cfg = load_pipeline_config(args.config, args, need_model=False)
     v = read_rvol(getattr(args, "in"))
-    mask, slabs = binarize(v, cfg.binarization, threads=args.threads)
+    mask, slabs = binarize(v, cfg.binarization)
     write_rvol(args.out, mask)
     print(
         json.dumps(
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline_flags(p: argparse.ArgumentParser, with_model: bool) -> None:
         p.add_argument("--config", default=None, help="pipeline config JSON")
-        p.add_argument("--threads", type=int, default=1)
         for key, section, kwargs in _OVERRIDES:
             if with_model or section == "binarization":
                 p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kwargs)
@@ -238,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--in", required=True, help="input RVOL volume")
     p_seg.add_argument("--out", required=True, help="output RVOL label volume")
     p_seg.add_argument("--report", default=None, help="JSON-lines object report")
+    p_seg.add_argument("--threads", type=int, default=1, help="worker processes that split the components")
     pipeline_flags(p_seg, with_model=True)
     p_seg.set_defaults(func=cmd_segment)
 

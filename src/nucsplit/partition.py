@@ -42,7 +42,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .graphbuild import ComponentGraph, csr_from_edges
-from .volume import Component, _pieces, paint_component
+from .volume import Component, _pieces, check_int, paint_component
 
 __all__ = [
     "PartitionerConfig",
@@ -64,6 +64,7 @@ class PartitionerConfig:
     def __post_init__(self):
         if not 0 < self.imbalance < 1:
             raise ValueError(f"imbalance must lie in (0, 1), got {self.imbalance}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

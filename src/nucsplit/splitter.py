@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -117,6 +119,19 @@ def _model_for(c: Component, slabs: List[SlabResult]) -> Optional[HistogramModel
     return best
 
 
+# a forked worker's (component, context) list, set by the pool's initializer
+_work: List[Tuple[Component, SplitContext]] = []
+
+
+def _set_work(work: List[Tuple[Component, SplitContext]]) -> None:
+    global _work
+    _work = work
+
+
+def _split_nth(i: int) -> List[Tuple[Component, float, float]]:
+    return recursive_split(*_work[i])
+
+
 def segment(
     v: Volume,
     params: NucleusModelParams,
@@ -126,25 +141,32 @@ def segment(
     threads: int = 1,
 ) -> SegmentationResult:
     """Binarize, split every foreground component, and assemble labels.
-    Each slab is smoothed once, for the thresholds and the edge weights."""
+    Each slab is smoothed once, for the thresholds and the edge weights.
+    With ``threads`` above 1, forked workers split the components, largest
+    first, where fork exists; the labels do not depend on ``threads``."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     smoothed = smooth_slabs(v, bin_cfg)
-    mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0), threads=threads)
-    comps = connected_components(mask)
+    mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0))
     score_ctx = ScoreContext(spacing=v.spacing, params=params, imbalance=part_cfg.imbalance)
-
-    kept: List[Tuple[Component, float, float]] = []
-    for comp in comps:
+    work = []
+    for comp in connected_components(mask):
         model = _model_for(comp, slabs)
         if edge_cfg.scheme == "prob" and model is None:
             raise ValueError("probability edge weights need a fitted histogram model")
-        ctx = SplitContext(
-            volume=smoothed,
-            score_ctx=score_ctx,
-            edge_cfg=edge_cfg,
-            part_cfg=part_cfg,
-            model=model,
-        )
-        kept.extend(recursive_split(comp, ctx))
+        work.append((comp, SplitContext(smoothed, score_ctx, edge_cfg, part_cfg, model)))
+
+    kept: List[Tuple[Component, float, float]] = []
+    if threads > 1 and len(work) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        workers = min(threads, len(work), os.cpu_count() or 1)
+        # forked workers inherit ``work`` and read the smoothed volume copy-on-write
+        with multiprocessing.get_context("fork").Pool(workers, _set_work, (work,)) as pool:
+            order = sorted(range(len(work)), key=lambda i: -len(work[i][0]))
+            for leaves in pool.imap_unordered(_split_nth, order, chunksize=1):
+                kept.extend(leaves)
+    else:
+        for comp, ctx in work:
+            kept.extend(recursive_split(comp, ctx))
 
     # label ids follow the scan order of each kept component's first voxel
     size = (v.data.shape[2], v.data.shape[1], v.data.shape[0])
@@ -155,13 +177,6 @@ def segment(
     for new_id, (comp, score, psi) in enumerate(kept, start=1):
         x, y, z = comp.coords[:, 0], comp.coords[:, 1], comp.coords[:, 2]
         labels[z, y, x] = new_id
-        objects.append(
-            {
-                "id": new_id,
-                "voxel_count": len(comp),
-                "volume": volume_of(comp, v.spacing),
-                "sphericity": psi,
-                "score": score,
-            }
-        )
+        objects.append({"id": new_id, "voxel_count": len(comp), "volume": volume_of(comp, v.spacing),
+                        "sphericity": psi, "score": score})
     return SegmentationResult(labels=Volume(labels, v.spacing), objects=objects)

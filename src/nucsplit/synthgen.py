@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 from scipy import ndimage
 
-from .volume import Volume, check_spacing
+from .volume import Volume, check_int, check_spacing
 
 __all__ = ["SceneConfig", "PlacementError", "generate"]
 
@@ -51,16 +51,15 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sx, sy, sz = self.size
-        if min(sx, sy, sz) < 1:
-            raise ValueError("size must be positive")
+        for n in self.size:
+            check_int("size", n, 1)
+        check_int("nucleus_count", self.nucleus_count, 0)
+        check_int("seed", self.seed, 0)
         check_spacing(self.spacing)
         object.__setattr__(self, "psf_sigma", _triple(self.psf_sigma))
         for name in ("semi_axis_range", "mu_b", "mu_f", "noise_sigma", "psf_sigma"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.nucleus_count < 0:
-            raise ValueError("nucleus_count must be >= 0")
         lo, hi = self.semi_axis_range
         if not 0 < lo <= hi:
             raise ValueError("semi axis range must satisfy 0 < lo <= hi")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -37,6 +38,12 @@ def check_spacing(spacing) -> tuple[float, float, float]:
     if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise ValueError(f"spacing must be finite and > 0, got {spacing}")
     return spacing
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Reject a config value that is not an integer of at least ``low``, naming its field."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class Volume:

@@ -1,3 +1,5 @@
+import math
+import multiprocessing
 import threading
 import warnings
 from dataclasses import asdict, replace
@@ -6,11 +8,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from nucsplit import splitter
 from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges, smooth_slabs
 from nucsplit.histmodel import Histogram, otsu_threshold
 from nucsplit.nucmodel import NucleusModelParams
 from nucsplit.splitter import segment
-from nucsplit.volume import Volume, gaussian_smooth
+from nucsplit.volume import Volume, connected_components, gaussian_smooth
 
 
 def ellipsoid_mask(shape_zyx, center_xyz, semi_xyz):
@@ -28,6 +31,12 @@ def test_config_validation():
         BinarizationConfig(sigma_smooth=-1.0)
     with pytest.raises(ValueError):
         BinarizationConfig(slabs=0)
+
+
+@pytest.mark.parametrize("field, value", [("sigma_smooth", math.inf), ("sigma_smooth", math.nan), ("slabs", 2.5)])
+def test_config_rejects_bad_numbers_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        BinarizationConfig(**{field: value})
 
 
 def test_slab_ranges_remainder_first():
@@ -145,27 +154,32 @@ def test_otsu_still_fits_model():
 
 
 def test_threads_do_not_change_result():
+    """The many noise components of an 8-slab volume are split in a pool
+    at threads 2 and 4, with the same labels and objects as serially."""
     rng = np.random.default_rng(6)
     data = rng.integers(0, 255, size=(16, 20, 20)).astype(np.uint8)
     data[:, 5:15, 5:15] = np.maximum(data[:, 5:15, 5:15], 180)
     v = Volume(data)
     cfg = BinarizationConfig("otsu", sigma_smooth=0.8, slabs=8)
-    seq_mask, seq_slabs = binarize(v, cfg, threads=1)
-    par_mask, par_slabs = binarize(v, cfg, threads=4)
-    assert np.array_equal(seq_mask.data, par_mask.data)
-    assert [asdict(s) for s in seq_slabs] == [asdict(s) for s in par_slabs]
+    params = NucleusModelParams(v_min=10.0, v_max=100.0)
+    assert len(connected_components(binarize(v, cfg)[0])) > 1
+    serial = segment(v, params, bin_cfg=cfg, threads=1)
+    for threads in (2, 4):
+        pooled = segment(v, params, bin_cfg=cfg, threads=threads)
+        assert pooled.labels.data.tobytes() == serial.labels.data.tobytes()
+        assert pooled.objects == serial.objects
 
 
 def test_threads_below_one_rejected_before_any_thread_starts(monkeypatch):
-    def no_thread(self):
-        raise AssertionError("a thread was started")
+    def started(*args, **kwargs):
+        raise AssertionError("smoothing, a thread or a pool was started")
 
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", started)
+    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool", started)
+    monkeypatch.setattr(splitter, "smooth_slabs", started)
     v = Volume(np.random.default_rng(6).integers(0, 255, size=(8, 10, 10)).astype(np.uint8))
-    cfg = BinarizationConfig("otsu", slabs=4)
+    cfg = BinarizationConfig("otsu", sigma_smooth=1.0, slabs=4)
     for threads in (0, -3):
-        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-            binarize(v, cfg, threads=threads)
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             segment(v, NucleusModelParams(v_min=10.0, v_max=100.0), bin_cfg=cfg, threads=threads)
 

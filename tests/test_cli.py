@@ -109,13 +109,42 @@ def test_binarize_reports_thresholds(tmp_path, scene_cfg, pipeline_cfg, capsys):
 
 
 def test_threads_below_one_exit_2(tmp_path, pipeline_cfg, capsys):
-    vol = flat_volume(tmp_path)
-    for command in ("binarize", "segment"):
-        rc = cli_main([command, "--in", vol, "--config", str(pipeline_cfg), "--out", str(tmp_path / "out.rvol"),
-                       "--threads", "0"])
-        assert rc == 2
-        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    args = ["--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", str(tmp_path / "out.rvol")]
+    assert cli_main(["segment", *args, "--threads", "0"]) == 2
+    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    assert cli_main(["binarize", *args, "--threads", "1"]) == 1  # only segment takes --threads
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert not (tmp_path / "out.rvol").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_sigma_smooth_exits_2(tmp_path, pipeline_cfg, value, capsys):
+    rc = cli_main(["binarize", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg),
+                   "--out", str(tmp_path / "m.rvol"), "--sigma-smooth", value])
+    assert rc == 2
+    assert f"sigma_smooth must be finite and >= 0, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [("binarization", "slabs", 2.5), ("partition", "seed", 1.5),
+                                                 ("partition", "seed", -1)])
+def test_non_integral_pipeline_field_exits_2_by_name(tmp_path, pipeline_cfg, section, key, value, capsys):
+    raw = json.loads(pipeline_cfg.read_text())
+    raw[section][key] = value
+    pipeline_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["segment", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg),
+                   "--out", str(tmp_path / "labels.rvol")])
+    assert rc == 2
+    assert f"{key} must be an integer >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("size", [8.5, 8, 8]), ("nucleus_count", 1.5), ("seed", -1)])
+def test_non_integral_scene_field_exits_2_by_name(tmp_path, scene_cfg, key, value, capsys):
+    raw = json.loads(scene_cfg.read_text())
+    raw[key] = value
+    scene_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["synth", "--config", str(scene_cfg), "--out-prefix", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"{key} must be an integer >= " in capsys.readouterr().err
 
 
 def test_segment_roundtrip_and_determinism(tmp_path, scene_cfg, pipeline_cfg, capsys):

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nucsplit import splitter
 from nucsplit.binarize import BinarizationConfig, SlabResult, binarize
 from nucsplit.evaluate import evaluate
 from nucsplit.geometry import cut_metric_weights, sphericity
@@ -363,3 +366,82 @@ def test_segment_output_matches_reference_digest(name):
                   part_cfg=PartitionerConfig(seed=1))
     got = hashlib.sha256(res.labels.data.tobytes() + json.dumps(res.objects).encode()).hexdigest()
     assert got == digest
+
+
+def output_digest(res):
+    return hashlib.sha256(res.labels.data.tobytes() + json.dumps(res.objects).encode()).hexdigest()
+
+
+def test_threads_keep_a_multi_slab_prob_output():
+    """Pooled workers read each component's own slab model."""
+    scene, params, bin_cfg, _, _ = DIGEST_SCENES["aniso_slab4_grad"]
+    intensity, _ = generate(scene)
+    mask, slabs = binarize(intensity, bin_cfg)
+    assert len({_model_for(c, slabs) for c in connected_components(mask)}) > 1
+    edge_cfg, part_cfg = EdgeWeightConfig(scheme="prob"), PartitionerConfig(seed=1)
+    digests = {output_digest(segment(intensity, params, bin_cfg=bin_cfg, edge_cfg=edge_cfg,
+                                     part_cfg=part_cfg, threads=threads)) for threads in (1, 2, 4)}
+    assert len(digests) == 1
+
+
+def separate_balls(radii):
+    """One ball per radius along x, each its own component. Every ball's
+    first voxel lies in slice z = 1, so the scan order is the x order."""
+    mask = np.zeros((16, 16, 16 * len(radii)), dtype=bool)
+    for i, r in enumerate(radii):
+        mask |= ball_mask(mask.shape, (8 + 16 * i, 8, 1 + r), r)
+    return Volume(np.where(mask, 200, 20).astype(np.uint8))
+
+
+BALL_PARAMS = NucleusModelParams(v_min=100.0, v_max=400.0)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_no_pool_for_one_component_or_without_fork(monkeypatch, fork):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool", no_pool)
+    if fork:
+        intensity = Volume(np.where(fused_balls(), 200, 20).astype(np.uint8))
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        intensity = separate_balls([3, 4, 5])
+    assert len(connected_components(binarize(intensity)[0])) == (1 if fork else 3)
+    serial = segment(intensity, BALL_PARAMS)
+    assert output_digest(segment(intensity, BALL_PARAMS, threads=4)) == output_digest(serial)
+
+
+def test_pool_size_is_capped_by_components_and_cores(monkeypatch):
+    """Records the pool's size and runs its work in this process: no
+    worker is forked, so a huge ``threads`` starts nothing."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            pools.append((processes, []))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, order, chunksize):
+            assert chunksize == 1
+            pools[-1][1].extend(order)
+            return map(fn, order)
+
+    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool", lambda ctx, *a: InProcessPool(*a))
+    monkeypatch.setattr(splitter, "_work", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    two, five = separate_balls([3, 5]), separate_balls([3, 4, 5, 3, 4])
+    for intensity, threads, size in ((two, 10**9, 2), (five, 10**9, 3), (five, 2, 2)):
+        got = segment(intensity, BALL_PARAMS, threads=threads)
+        assert output_digest(got) == output_digest(segment(intensity, BALL_PARAMS))
+        processes, order = pools[-1]
+        assert processes == size
+        comps = connected_components(binarize(intensity)[0])
+        assert sorted(order) == list(range(len(comps)))
+        assert [len(comps[i]) for i in order] == sorted((len(c) for c in comps), reverse=True)
