@@ -74,24 +74,45 @@ def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
     """Gaussian-smooth each slab group on its own with its edge slices
     replicated, or return ``v`` when ``sigma_smooth`` is 0. A float volume
     with a NaN or infinite sample is rejected before any smoothing."""
-    if v.data.dtype.kind == "f" and not np.isfinite(v.data).all():
-        nan, inf = int(np.isnan(v.data).sum()), int(np.isinf(v.data).sum())
-        raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
+    if v.data.dtype.kind == "f":
+        nan = inf = 0
+        for plane in v.data:  # a z-slice at a time: no whole-volume bool arrays
+            if not np.isfinite(plane).all():
+                nan, inf = nan + int(np.isnan(plane).sum()), inf + int(np.isinf(plane).sum())
+        if nan or inf:
+            raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
     if cfg.sigma_smooth == 0:
         return v
+    ranges = slab_ranges(v.data.shape[0], cfg.slabs)
+    if len(ranges) == 1:
+        return gaussian_smooth(v, cfg.sigma_smooth)
     out = np.empty(v.data.shape, dtype=np.float32)
-    for z_lo, z_hi in slab_ranges(v.data.shape[0], cfg.slabs):
+    for z_lo, z_hi in ranges:
         out[z_lo:z_hi] = gaussian_smooth(Volume(v.data[z_lo:z_hi], v.spacing), cfg.sigma_smooth).data
     return Volume(out, v.spacing)
 
 
-def _binarize_slab(smoothed: Volume, z_lo: int, z_hi: int, cfg: BinarizationConfig):
-    q = np.rint(smoothed.data[z_lo:z_hi]).astype(np.int64)
-    hist = Histogram.from_values(q)
+def _levels(plane: np.ndarray) -> np.ndarray:
+    """The gray levels of one z-slice: each sample rounded to the nearest integer."""
+    return np.rint(plane).astype(np.int64)
+
+
+def _binarize_slab(s: np.ndarray, cfg: BinarizationConfig, out: np.ndarray) -> Tuple[int, Optional[HistogramModel]]:
+    """Threshold one slab's samples into the bool array ``out``, one z-slice
+    at a time; returns the threshold and the model. A sample counts at its
+    gray level (``_levels``) and is foreground when that level is above the
+    threshold."""
+    counts = np.zeros(1, dtype=np.int64)
+    for plane in s:
+        c = Histogram.from_values(_levels(plane)).counts
+        if len(c) > len(counts):
+            c, counts = counts, c
+        counts[: len(c)] += c
+    hist = Histogram(counts)
     model: Optional[HistogramModel] = None
     if len(hist.occupied()) < 2:
         # one gray level holds no contrast: the slab is all background
-        t = int(q.flat[0])
+        t = int(hist.occupied()[0])
     elif cfg.method == "model_threshold":
         model = em_fit(hist)
         t = model_threshold(model)
@@ -102,17 +123,21 @@ def _binarize_slab(smoothed: Volume, z_lo: int, z_hi: int, cfg: BinarizationConf
             model = em_fit(hist)
         except (DegenerateHistogram, FitFailure):
             model = None
-    return (q > t).astype(np.uint8), SlabResult(z_lo, z_hi, int(t), model)
+    for plane, o in zip(s, out):
+        np.greater(_levels(plane), t, out=o)
+    return t, model
 
 
 def binarize(v: Volume, cfg: BinarizationConfig = BinarizationConfig()) -> Tuple[Volume, List[SlabResult]]:
     """Binarize per slab group; returns the 0/1 mask and per-group results.
 
-    The slabs of ``smooth_slabs(v, cfg)`` are thresholded one by one and
-    joined in z order.
+    The slabs of ``smooth_slabs(v, cfg)`` are thresholded one by one into
+    one mask, a ``uint8`` view of a bool array.
     """
-    smoothed = smooth_slabs(v, cfg)
-    ranges = slab_ranges(v.data.shape[0], cfg.slabs)
-    results = [_binarize_slab(smoothed, z_lo, z_hi, cfg) for z_lo, z_hi in ranges]
-    mask = np.concatenate([sub for sub, _ in results])
-    return Volume(mask, v.spacing), [res for _, res in results]
+    smoothed = smooth_slabs(v, cfg).data
+    mask = np.empty(smoothed.shape, dtype=bool)
+    results = []
+    for z_lo, z_hi in slab_ranges(smoothed.shape[0], cfg.slabs):
+        t, model = _binarize_slab(smoothed[z_lo:z_hi], cfg, mask[z_lo:z_hi])
+        results.append(SlabResult(z_lo, z_hi, t, model))
+    return Volume(mask.view(np.uint8), v.spacing), results

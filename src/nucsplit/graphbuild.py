@@ -94,9 +94,9 @@ def build_graph(
     coords = c.coords
     lo, hi = c.bounding_box()
     shape = hi - lo + 1
-    grid = np.full((shape[2], shape[1], shape[0]), -1, dtype=np.int64)
+    grid = np.full((shape[2], shape[1], shape[0]), -1, dtype=np.int32)
     rel = coords - lo
-    grid[rel[:, 2], rel[:, 1], rel[:, 0]] = np.arange(len(coords), dtype=np.int64)
+    grid[rel[:, 2], rel[:, 1], rel[:, 0]] = np.arange(len(coords), dtype=np.int32)
 
     if cfg.scheme == "const":
         node_vals = None

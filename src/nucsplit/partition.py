@@ -389,6 +389,7 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     hist: List[int] = []
     w0 = st.w0
     cur = best_cut = st.cut
+    tol = 1e-12 * max(1.0, cur)  # the running cut drifts by rounding in proportion to its size
     best_len = 0
     w0_hist = [w0]
     fruitless = 0
@@ -409,7 +410,7 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
         cur -= g
         hist.append(u)
         w0_hist.append(w0)
-        if cur < best_cut - 1e-12:
+        if cur < best_cut - tol:
             best_cut = cur
             best_len = len(hist)
             fruitless = 0
@@ -446,7 +447,7 @@ def _fm_refine(lv: _Level, side: np.ndarray, total_w: int, max_side_w: int, cand
     """Refines ``side`` in place, with FM set up over the ``candidates`` (see _FMState)."""
     st = _FMState(lv, side, total_w, max_side_w, candidates)
     for _ in range(FM_PASSES):
-        if not _fm_pass(st, FM_STALL):  # a pass that keeps a move lowers the cut by over 1e-12
+        if not _fm_pass(st, FM_STALL):  # a pass that keeps a move lowers the cut by a relative 1e-12
             break
 
 
@@ -505,7 +506,7 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
             tried.add(key)
             _fm_refine(coarsest, cand, n, max_side_w)
             cut = _cut_of(coarsest, cand)
-            if cut < best_cut - 1e-12:
+            if side is None or cut < best_cut - 1e-12 * max(1.0, best_cut):
                 side, best_cut = cand, cut
     for lv, coarser in zip(levels[-2::-1], levels[:0:-1]):
         # a finer edge that crosses the cut joins coarser nodes across it, and

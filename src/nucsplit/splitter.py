@@ -149,8 +149,10 @@ def segment(
     smoothed = smooth_slabs(v, bin_cfg)
     mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0))
     score_ctx = ScoreContext(spacing=v.spacing, params=params, imbalance=part_cfg.imbalance)
+    components = connected_components(mask)
+    del mask  # the components hold the foreground from here on
     work = []
-    for comp in connected_components(mask):
+    for comp in components:
         model = _model_for(comp, slabs)
         if edge_cfg.scheme == "prob" and model is None:
             raise ValueError("probability edge weights need a fitted histogram model")

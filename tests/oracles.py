@@ -168,6 +168,7 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     hist: List[int] = []
     cur = cut
     best_cut = cut
+    tol = 1e-12 * max(1.0, cut)  # relative: the running cut drifts by rounding
     best_len = 0
     w0_hist = [w0]
     fruitless = 0
@@ -185,7 +186,7 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
         cur -= gain[u]
         hist.append(u)
         w0_hist.append(w0)
-        if cur < best_cut - 1e-12:
+        if cur < best_cut - tol:
             best_cut = cur
             best_len = len(hist)
             fruitless = 0
@@ -221,7 +222,7 @@ def fm_refine(lv, side, total_w, max_side_w, stall_limit, passes):
     cut = _cut_of(lv, side)
     for _ in range(passes):
         new_cut, w0, changed = fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut)
-        if not changed or new_cut >= cut - 1e-12:
+        if not changed or new_cut >= cut - 1e-12 * max(1.0, cut):
             break
         cut = new_cut
 

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
+import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
@@ -204,6 +206,49 @@ def test_binarize_thresholds_the_smoothed_slabs(slabs):
     assert [asdict(s) for s in results] == [asdict(s) for s in again_results]
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_float_samples_are_foreground_when_rint_takes_them_above_the_threshold(sigma):
+    """The mask equals ``np.rint(s) > t``, ties to even, on f32 slabs that
+    hold t - 1/2 and t + 1/2 exactly, for odd and for even thresholds.
+    Every half step between 20 and 80 fills a block 8 voxels wide along x,
+    constant in y and z, so smoothing keeps the middle of each block exact."""
+    rng = np.random.default_rng(4)
+    steps = np.arange(40, 161) / 2
+    slabs = []
+    for _ in range(6):  # 60 extra blocks, split at random between the two ends, move each slab's threshold
+        low = int(rng.integers(10, 50))
+        extra = np.concatenate([rng.choice(steps[:40], low), rng.choice(steps[-40:], 60 - low)])
+        slabs.append(np.sort(np.concatenate([steps, extra])))
+    blocks = np.stack(slabs)  # (slab, block)
+    data = np.repeat(np.repeat(blocks, 2, axis=0), 8, axis=1)[:, None, :].repeat(2, axis=1)
+    v = Volume(data.astype(np.float32))
+    cfg = BinarizationConfig(sigma_smooth=sigma, slabs=6)
+    mask, results = binarize(v, cfg)
+    smoothed = smooth_slabs(v, cfg).data
+    for r in results:
+        s, t = smoothed[r.z_lo : r.z_hi], r.threshold
+        assert np.isin([t - 0.5, t + 0.5], s).all()
+        assert np.array_equal(mask.data[r.z_lo : r.z_hi], np.rint(s) > t)
+    assert {r.threshold % 2 for r in results} == {0, 1}
+
+
+def test_binarize_holds_at_most_9_bytes_per_voxel_above_its_input():
+    """One slab's smoothing is returned as it is, and its histogram and mask
+    are made a z-slice at a time: the peak is smoothing's two float32
+    volumes, and no int64 copy of the slab."""
+    rng = np.random.default_rng(2)
+    data = rng.integers(0, 400, size=(32, 96, 128)).astype(np.uint16)
+    data[8:24, 20:70, 30:100] += 1500
+    v = Volume(data)
+    tracemalloc.start()
+    try:
+        binarize(v, BinarizationConfig(sigma_smooth=1.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * data.size
+
+
 def test_negative_values_rejected():
     v = Volume(np.full((2, 4, 4), -5.0, dtype=np.float32))
     with pytest.raises(ValueError, match="negative gray levels not allowed"):
@@ -226,6 +271,18 @@ def test_non_finite_values_rejected_by_name(bad, counts):
             binarize(v, BinarizationConfig(sigma_smooth=1.0))
         with pytest.raises(ValueError, match=f"non-finite values: {counts}"):
             segment(v, NucleusModelParams(v_min=10.0, v_max=100.0))
+
+
+def test_non_finite_in_the_last_slab_rejected_before_any_smoothing(monkeypatch):
+    def smoothing(*args):
+        raise AssertionError("a slab was smoothed")
+
+    # sys.modules: the package attribute `nucsplit.binarize` is the function
+    monkeypatch.setattr(sys.modules["nucsplit.binarize"], "gaussian_smooth", smoothing)
+    data = np.full((9, 8, 8), 10.0, dtype=np.float32)
+    data[8, 7, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite values: 1 NaN and 0 infinite"):
+        smooth_slabs(Volume(data), BinarizationConfig(sigma_smooth=1.0, slabs=3))
 
 
 def test_slab_result_serializable():

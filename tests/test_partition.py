@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components as graph_parts
 from scipy.sparse.csgraph import shortest_path
 
 import nucsplit.partition as partition
-from nucsplit.graphbuild import EdgeWeightConfig, build_graph
+from nucsplit.graphbuild import EdgeWeightConfig, build_graph, csr_from_edges
 from nucsplit.histmodel import Histogram, HistogramModel, em_fit
 from nucsplit.partition import (
     FM_PASSES,
@@ -475,6 +475,29 @@ def test_fm_refine_stops_after_fm_stall_fruitless_moves():
     former = start.copy()
     fm_refine(lv, former, lv.n, max_w, lv.n // 50, FM_PASSES)
     assert not np.array_equal(got, former)
+
+
+def test_fm_keeps_no_zero_gain_swap_of_a_large_cut(monkeypatch):
+    """Node 5 alone against the rest, and its complement, cut 7026.7 alike.
+    A pass that moves every node reaches the complement, and the running
+    cut, summed move by move, comes out a few ulps lower. Under an absolute
+    1e-12 tolerance every pass kept that swap and the next swapped back,
+    until FM_PASSES ran out; relative to the cut, the first pass keeps nothing."""
+    eu, ev = np.array([0, 0, 1, 1, 2, 2, 3, 4]), np.array([1, 3, 2, 5, 3, 4, 4, 5])
+    ew = np.array([5092.0, 3713.1, 4501.7, 5862.7, 7152.3, 6622.8, 7684.3, 1164.0])
+    indptr, indices, weights = csr_from_edges(6, eu, ev, ew)
+    lv = _Level(indptr, indices.astype(np.int64), weights, np.ones(6, dtype=np.int64))
+    passes = []
+
+    def counted(st, stall_limit):
+        passes.append(_fm_pass(st, stall_limit))
+        return passes[-1]
+
+    monkeypatch.setattr(partition, "_fm_pass", counted)
+    side = np.array([1, 1, 1, 1, 1, 0], dtype=np.uint8)
+    _fm_refine(lv, side, 6, 5)
+    assert passes == [False]
+    assert side.tolist() == [1, 1, 1, 1, 1, 0]
 
 
 def matching_level(rng, cap_range):
