@@ -333,10 +333,11 @@ def test_model_for_uses_the_slab_holding_most_voxels():
     assert _model_for(column([3, 4, 5, 6, 7]), slabs).mu_f == 100.0
 
 
-# Labels plus object report of one segment call on each scene, as SHA-256;
-# changes that keep the output must keep these digests. The 4-voxel grid
-# level moved both (8 bipartitions instead of 7 on iso, 11 instead of 12 on
-# aniso; the same object counts, evaluate 0/0/0/0 and cut sums to 0.001).
+# The labels alone, and the labels plus object report, of one segment call
+# on each scene, as SHA-256; changes that keep the output must keep these
+# digests. The 4-voxel grid level moved both (8 bipartitions instead of 7 on
+# iso, 11 instead of 12 on aniso; the same object counts, evaluate 0/0/0/0
+# and cut sums to 0.001).
 DIGEST_SCENES = {
     "iso_clustered_prob": (
         SceneConfig(size=(72, 72, 40), nucleus_count=10, semi_axis_range=(8.0, 9.0),
@@ -344,6 +345,7 @@ DIGEST_SCENES = {
         NucleusModelParams(v_min=1500.0, v_max=4000.0),
         BinarizationConfig(method="otsu", sigma_smooth=1.2, slabs=1),
         EdgeWeightConfig(scheme="prob"),
+        "9841d717546cabc3104dd3d33a32dd5871d58635ddffef6c65701cdd1b0e2285",
         "ae10b049158048611a54e3ff87583a56ed019943862c6d2c0bc8d792fa6421b6",
     ),
     "aniso_slab4_grad": (
@@ -353,28 +355,38 @@ DIGEST_SCENES = {
         NucleusModelParams(v_min=2900.0, v_max=8550.0),
         BinarizationConfig(method="otsu", sigma_smooth=0.7, slabs=4),
         EdgeWeightConfig(scheme="grad", sigma_grad=100.0),
+        "79cec37fae1faf58569600e209483a789bbaaa026a57c94cf99615fa13d86701",
         "bb435a1ae3df82a1f6dfb52a3f9d68d299016326d55313dd0f9c4f1771588273",
     ),
 }
-
-
-@pytest.mark.parametrize("name", sorted(DIGEST_SCENES))
-def test_segment_output_matches_reference_digest(name):
-    scene, params, bin_cfg, edge_cfg, digest = DIGEST_SCENES[name]
-    intensity, _ = generate(scene)
-    res = segment(intensity, params, bin_cfg=bin_cfg, edge_cfg=edge_cfg,
-                  part_cfg=PartitionerConfig(seed=1))
-    got = hashlib.sha256(res.labels.data.tobytes() + json.dumps(res.objects).encode()).hexdigest()
-    assert got == digest
 
 
 def output_digest(res):
     return hashlib.sha256(res.labels.data.tobytes() + json.dumps(res.objects).encode()).hexdigest()
 
 
+def digest_scene_output(name):
+    scene, params, bin_cfg, edge_cfg, _, _ = DIGEST_SCENES[name]
+    intensity, _ = generate(scene)
+    return segment(intensity, params, bin_cfg=bin_cfg, edge_cfg=edge_cfg,
+                   part_cfg=PartitionerConfig(seed=1))
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SCENES))
+def test_segment_labels_match_reference_digest(name):
+    res = digest_scene_output(name)
+    assert hashlib.sha256(res.labels.data.tobytes()).hexdigest() == DIGEST_SCENES[name][4]
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SCENES))
+def test_segment_output_matches_reference_digest(name):
+    res = digest_scene_output(name)
+    assert output_digest(res) == DIGEST_SCENES[name][5]
+
+
 def test_threads_keep_a_multi_slab_prob_output():
     """Pooled workers read each component's own slab model."""
-    scene, params, bin_cfg, _, _ = DIGEST_SCENES["aniso_slab4_grad"]
+    scene, params, bin_cfg, *_ = DIGEST_SCENES["aniso_slab4_grad"]
     intensity, _ = generate(scene)
     mask, slabs = binarize(intensity, bin_cfg)
     assert len({_model_for(c, slabs) for c in connected_components(mask)}) > 1
