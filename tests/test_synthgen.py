@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -198,3 +199,28 @@ def test_intensity_clamped_to_dtype():
     intensity, _ = generate(cfg)
     assert intensity.data.dtype == np.uint16
     assert intensity.data.min() >= 0
+
+
+# SHA-256 of the intensity bytes followed by the truth bytes; rewrites of
+# generate that keep its output must keep these. The anisotropic scene has
+# integer mean levels and noise that clips at 0.
+GOLDEN_SCENES = {
+    "iso_clustered": (
+        SceneConfig(size=(48, 40, 24), nucleus_count=6, semi_axis_range=(6.0, 7.0),
+                    clustering=0.8, noise_sigma=5.0, psf_sigma=1.0, seed=11),
+        "4d771ab5e82e87e69d31c8a6487a2cfab4a55f7b6c1c1e8dc85c63975fc98f61",
+    ),
+    "aniso_z_decay": (
+        SceneConfig(size=(48, 44, 12), spacing=(1.0, 1.0, 3.0), nucleus_count=5,
+                    semi_axis_range=(5.0, 6.0), mu_b=15, mu_f=180, noise_sigma=4.0,
+                    psf_sigma=(1.0, 1.0, 0.5), z_decay=0.6, seed=4),
+        "e6bc38c34ff3b04c1309833f704aa4aa1382e717697219b86aa19d7fb94dac04",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENES))
+def test_generate_matches_golden_digest(name):
+    cfg, digest = GOLDEN_SCENES[name]
+    intensity, truth = generate(cfg)
+    assert hashlib.sha256(intensity.data.tobytes() + truth.data.tobytes()).hexdigest() == digest
