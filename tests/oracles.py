@@ -5,6 +5,8 @@ from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
+from scipy.optimize import lsq_linear
+from scipy.spatial import SphericalVoronoi
 
 from nucsplit.geometry import CutMetricWeights
 from nucsplit.graphbuild import ComponentGraph, csr_from_edges
@@ -20,6 +22,21 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2) if sigma > 0 else np.ones(1)
     return k / k.sum()
+
+
+def spherical_voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
+    """Solid-angle fraction of each scaled direction's Voronoi cell from
+    scipy's SphericalVoronoi, antipodal direction pairs averaged."""
+    scaled = directions.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
+    unit = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    f = SphericalVoronoi(unit, threshold=1e-6).calculate_areas() / (4.0 * np.pi)
+    antipode = [int(np.flatnonzero((directions == -d).all(axis=1))[0]) for d in directions]
+    return 0.5 * (f + f[antipode])
+
+
+def trf_bounded_lstsq(a, b, lo, hi) -> np.ndarray:
+    """scipy's trust-region reflective solution of min |a x - b| over lo <= x <= hi."""
+    return lsq_linear(a, b, bounds=(lo, hi), method="trf", tol=1e-12).x
 
 
 def two_sided_surface_area(c: Component, w: CutMetricWeights) -> float:

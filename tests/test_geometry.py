@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from nucsplit.geometry import (
     DIRECTIONS_26,
     CutMetricWeights,
+    _bounded_lstsq,
+    _calibration_problem,
     cut_metric_weights,
     sphericity,
     surface_area,
@@ -14,7 +20,7 @@ from nucsplit.geometry import (
     voronoi_fractions,
 )
 from nucsplit.volume import Component, Volume, connected_components
-from oracles import two_sided_surface_area
+from oracles import spherical_voronoi_fractions, trf_bounded_lstsq, two_sided_surface_area
 
 
 def comp_of(mask):
@@ -289,3 +295,90 @@ def test_voronoi_fractions_standalone():
     for kind in (1, 2, 3):
         vals = f[kinds == kind]
         assert vals.max() - vals.min() < 1e-12
+
+
+ORACLE_SPACINGS = [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0), (0.5, 0.7, 2.3), (1.0, 2.0, 3.0)] + [
+    tuple(map(float, s))  # every axis ratio below 20
+    for s in np.exp(np.random.default_rng(31).uniform(0.0, math.log(20.0), size=(20, 3)))
+]
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_fractions_match_spherical_voronoi():
+    for spacing in ORACLE_SPACINGS:
+        got = voronoi_fractions(DIRECTIONS_26, spacing)
+        assert relative_gap(got, spherical_voronoi_fractions(DIRECTIONS_26, spacing)) <= 1e-12
+
+
+@pytest.mark.parametrize("kinds", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)])
+def test_fractions_of_direction_subsets_match_spherical_voronoi(kinds):
+    """Subsets of the 26 directions by number of nonzero offsets.  Some
+    hulls have four or more directions on one face plane: the corners' hull
+    is a box of square faces, the edge directions' hull at isotropic spacing
+    mixes squares and triangles."""
+    directions = DIRECTIONS_26[np.isin(np.abs(DIRECTIONS_26).sum(axis=1), kinds)]
+    for spacing in ((1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (1.0, 2.0, 3.0)):
+        got = voronoi_fractions(directions, spacing)
+        assert relative_gap(got, spherical_voronoi_fractions(directions, spacing)) <= 1e-12
+
+
+def objective(a, b, x):
+    return float(np.sum((a @ x - b) ** 2))
+
+
+def bound_count_at_kkt_point(a, b, lo, hi, x):
+    """Check the optimality conditions of min |a x - b| over lo <= x <= hi
+    at ``x`` and return how many bounds are active: the gradient vanishes
+    on the free variables and points out of the box on the bound ones."""
+    assert (lo <= x).all() and (x <= hi).all()
+    grad = a.T @ (a @ x - b)
+    tol = 1e-10 * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    at_lo, at_hi = x == lo, x == hi
+    free = ~(at_lo | at_hi)
+    assert (grad[at_lo] >= -tol[at_lo]).all()
+    assert (grad[at_hi] <= tol[at_hi]).all()
+    assert (np.abs(grad[free]) <= tol[free]).all()
+    return int((~free).sum())
+
+
+@pytest.mark.parametrize("spacing, active", [((1.0, 1.0, 1.0), 0), ((1.0, 1.0, 2.0), 2), ((1.0, 1.0, 5.0), 4)])
+def test_calibration_solves_its_bounded_problem_exactly(spacing, active):
+    _, (a, b, lo, hi) = _calibration_problem(voronoi_fractions(DIRECTIONS_26, spacing), spacing)
+    x = _bounded_lstsq(a, b, lo, hi)
+    assert bound_count_at_kkt_point(a, b, lo, hi, x) == active
+    assert objective(a, b, x) <= objective(a, b, trf_bounded_lstsq(a, b, lo, hi)) * (1.0 + 1e-14)
+
+
+def test_bounded_lstsq_on_random_problems():
+    rng = np.random.default_rng(7)
+    active = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        a = rng.normal(size=(n + int(rng.integers(0, 6)), n))
+        b = 3.0 * rng.normal(size=len(a))
+        lo = rng.uniform(-1.0, 0.5, n)
+        hi = lo + rng.uniform(0.01, 2.0, n)
+        x = _bounded_lstsq(a, b, lo, hi)
+        active += bound_count_at_kkt_point(a, b, lo, hi, x)
+        assert objective(a, b, x) <= objective(a, b, trf_bounded_lstsq(a, b, lo, hi)) * (1.0 + 1e-12)
+    assert active > 200  # the bounds bind often
+
+
+def test_import_loads_no_scipy_optimize_or_spatial():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, nucsplit; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    modules = run.stdout.split()
+    assert "nucsplit.geometry" in modules and "scipy.ndimage" in modules
+    assert [m for m in modules if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "spatial"])] == []
