@@ -152,9 +152,9 @@ def _unpack_flat(flat_idx: np.ndarray, sx: int, sy: int) -> np.ndarray:
 
 
 def _pieces(mask: np.ndarray) -> list[np.ndarray]:
-    """The (x, y, z) coordinates of each 6-connected piece of a boolean
-    ``[z, y, x]`` array, rows in scan order, pieces in scan order of their
-    first voxels."""
+    """The (x, y, z) coordinates of each 6-connected piece of the nonzero
+    voxels of a ``[z, y, x]`` array, rows in scan order, pieces in scan
+    order of their first voxels."""
     lab, n = ndimage.label(mask, structure=_SIX_CONNECTED)
     _, sy, sx = mask.shape
     flat = lab.ravel()
@@ -167,8 +167,9 @@ def _pieces(mask: np.ndarray) -> list[np.ndarray]:
 
 def connected_components(mask: Volume) -> list[Component]:
     """Split the foreground of a binary volume into maximal 6-connected
-    sets, listed in scan order of their first voxels."""
-    return [Component(coords) for coords in _pieces(mask.data != 0)]
+    sets, listed in scan order of their first voxels.  Every nonzero
+    voxel is foreground, as ``ndimage.label`` reads it: NaN too, -0.0 not."""
+    return [Component(coords) for coords in _pieces(mask.data)]
 
 
 def paint_component(c: Component, pad: int = 0):

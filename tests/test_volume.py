@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,36 @@ def test_connected_components_against_flood_fill():
         assert len(got) == len(want)
         for g, w in zip(got, want):  # same list order: scan order of first voxels
             assert [tuple(r) for r in g.coords] == w
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.float32])
+def test_connected_components_take_every_nonzero_voxel(dtype):
+    rng = np.random.default_rng(19)
+    data = np.where(rng.random((6, 7, 8)) < 0.4, rng.integers(1, 250, (6, 7, 8)), 0).astype(dtype)
+    if dtype == np.float32:
+        odd = rng.choice(np.array([np.nan, -0.0, -3.5, 0.25], dtype=np.float32), size=data.shape)
+        data = np.where(rng.random(data.shape) < 0.3, odd, data)
+        assert np.isnan(data).any() and np.signbit(data[data == 0]).any()
+    got = connected_components(Volume(data))
+    assert [[tuple(r) for r in c.coords] for c in got] == brute_components(data != 0)
+
+
+def test_connected_components_make_no_copy_of_the_mask():
+    """The peak is ndimage.label's int32 labels (4 bytes per voxel) plus the
+    pieces' coordinates; a bool copy of the mask would add one byte more."""
+    g = np.indices((64, 64, 64))
+    mask = np.zeros((64, 64, 64), dtype=np.uint8)
+    for c in ((10, 12, 14), (40, 20, 33), (50, 50, 50), (20, 45, 30)):
+        mask |= ((g - np.array(c)[:, None, None, None]) ** 2).sum(axis=0) <= 25
+    v = Volume(mask)
+    tracemalloc.start()
+    try:
+        comps = connected_components(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(comps) == 4
+    assert peak < 4.5 * mask.size
 
 
 def test_component_ids_follow_scan_order():
