@@ -168,7 +168,8 @@ def generate(cfg: SceneConfig) -> Tuple[Volume, Volume]:
     placed = _place(cfg, rng)
     truth = _paint(cfg, placed)
 
-    intensity = np.where(truth > 0, cfg.mu_f, cfg.mu_b).astype(np.float64)
+    # one float64 volume, updated in place after the blur
+    intensity = np.where(truth > 0, float(cfg.mu_f), float(cfg.mu_b))
     if cfg.z_decay > 0:
         sz = cfg.size[2]
         fade = 1.0 - cfg.z_decay * np.arange(sz) / max(sz - 1, 1)
@@ -177,6 +178,7 @@ def generate(cfg: SceneConfig) -> Tuple[Volume, Volume]:
         sx_, sy_, sz_ = cfg.psf_sigma
         intensity = ndimage.gaussian_filter(intensity, sigma=(sz_, sy_, sx_), mode="nearest")
     if cfg.noise_sigma > 0:
-        intensity = intensity + rng.normal(0.0, cfg.noise_sigma, size=intensity.shape)
-    intensity = np.rint(np.clip(intensity, 0, 65535)).astype(np.uint16)
+        intensity += rng.normal(0.0, cfg.noise_sigma, size=intensity.shape)
+    np.clip(intensity, 0, 65535, out=intensity)
+    intensity = np.rint(intensity, out=intensity).astype(np.uint16)
     return Volume(intensity, cfg.spacing), Volume(truth, cfg.spacing)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -224,3 +225,18 @@ def test_generate_matches_golden_digest(name):
     cfg, digest = GOLDEN_SCENES[name]
     intensity, truth = generate(cfg)
     assert hashlib.sha256(intensity.data.tobytes() + truth.data.tobytes()).hexdigest() == digest
+
+
+def test_generate_peak_memory_per_voxel():
+    """One float64 working volume plus the blur's output, the noise draw and
+    the truth and intensity volumes: 20 bytes per voxel, where a copy of the
+    working volume would add 8 more."""
+    cfg = SceneConfig(size=(96, 96, 48), nucleus_count=12, semi_axis_range=(8.0, 9.0),
+                      clustering=0.5, noise_sigma=6.0, psf_sigma=1.2, z_decay=0.5, seed=2)
+    tracemalloc.start()
+    try:
+        generate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 96 * 96 * 48
