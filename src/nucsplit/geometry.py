@@ -69,7 +69,7 @@ def _hull_faces(unit: np.ndarray):
     ax, ay, az = x[j] - x[i], y[j] - y[i], z[j] - z[i]
     bx, by, bz = x[k] - x[i], y[k] - y[i], z[k] - z[i]
     normal = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-    del ax, ay, az, bx, by, bz
+    del ax, ay, az, bx, by, bz  # freed before the (direction, triple) table below
     offset = normal[0] * x[i] + normal[1] * y[i] + normal[2] * z[i]
     normal *= np.sign(offset)  # outward, as the origin lies inside the hull
     offset = np.abs(offset)
@@ -88,9 +88,14 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
     faces, and a direction's cell is the spherical polygon through the
     normals of the faces it lies on.  Its area is the sum of the fan of
     spherical triangles from the direction to consecutive vertices, each by
-    the Van Oosterom-Strackee formula.  Antipodal direction pairs are
-    averaged so central symmetry is exact.
+    the Van Oosterom-Strackee formula.  The directions come in antipodal
+    pairs, which puts the origin inside the hull; each pair's fractions
+    are averaged so central symmetry is exact.
     """
+    opposite = (directions[:, None] == -directions[None]).all(axis=2)
+    if not opposite.any(axis=1).all():
+        raise ValueError("directions must come in antipodal pairs")
+    antipode = opposite.argmax(axis=1)
     scaled = directions.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
     unit = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
     gap = np.linalg.norm(unit[:, None] - unit[None], axis=2)
@@ -103,6 +108,8 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
     vertex, on = _hull_faces(unit)
     # each (direction, vertex) pair of a cell, in angular order around the direction
     gen, face = np.nonzero(on)
+    # a tangent frame at each direction, from the axis least aligned with it;
+    # e1 and e2 have equal lengths, which is all the angle needs
     axis = np.eye(3)[np.argmin(np.abs(unit), axis=1)]
     e1 = axis - np.einsum("ij,ij->i", axis, unit)[:, None] * unit
     e2 = np.cross(unit, e1)
@@ -111,13 +118,13 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
                                    np.einsum("ij,ij->i", v, e1[gen])), gen))
     gen, v = gen[order], v[order]
     count = on.sum(axis=1)
-    nxt = np.arange(1, len(gen) + 1)
+    nxt = np.arange(1, len(gen) + 1)  # each vertex's successor, the last of a cell wrapping round
     nxt[np.cumsum(count) - 1] = np.cumsum(count) - count
     w, g = v[nxt], unit[gen]
+    # tan(solid angle / 2) = g . (v x w) / (1 + g . v + v . w + w . g) for unit g, v, w
     turn = np.einsum("ij,ij->i", g, np.cross(v, w))
     dots = 1.0 + np.einsum("ij,ij->i", g, v) + np.einsum("ij,ij->i", v, w) + np.einsum("ij,ij->i", w, g)
     f = np.bincount(gen, 2.0 * np.arctan2(turn, dots), minlength=len(unit)) / (4.0 * math.pi)
-    antipode = (directions[:, None] == -directions[None]).all(axis=2).argmax(axis=1)
     return 0.5 * (f + f[antipode])
 
 

@@ -168,7 +168,7 @@ def generate(cfg: SceneConfig) -> Tuple[Volume, Volume]:
     placed = _place(cfg, rng)
     truth = _paint(cfg, placed)
 
-    # one float64 volume, updated in place after the blur
+    # float64 from the start, so every step but the blur works in place
     intensity = np.where(truth > 0, float(cfg.mu_f), float(cfg.mu_b))
     if cfg.z_decay > 0:
         sz = cfg.size[2]

@@ -325,6 +325,11 @@ def test_fractions_of_direction_subsets_match_spherical_voronoi(kinds):
         assert relative_gap(got, spherical_voronoi_fractions(directions, spacing)) <= 1e-12
 
 
+def test_fractions_need_antipodal_pairs():
+    with pytest.raises(ValueError, match="antipodal pairs"):
+        voronoi_fractions(DIRECTIONS_26[:13], (1.0, 1.0, 1.0))
+
+
 def objective(a, b, x):
     return float(np.sum((a @ x - b) ** 2))
 
