@@ -118,8 +118,9 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
                                    np.einsum("ij,ij->i", v, e1[gen])), gen))
     gen, v = gen[order], v[order]
     count = on.sum(axis=1)
+    end = np.cumsum(count)
     nxt = np.arange(1, len(gen) + 1)  # each vertex's successor, the last of a cell wrapping round
-    nxt[np.cumsum(count) - 1] = np.cumsum(count) - count
+    nxt[end - 1] = end - count
     w, g = v[nxt], unit[gen]
     # tan(solid angle / 2) = g . (v x w) / (1 + g . v + v . w + w . g) for unit g, v, w
     turn = np.einsum("ij,ij->i", g, np.cross(v, w))
