@@ -62,7 +62,7 @@ def _hull_faces(unit: np.ndarray):
     side.  A plane through four or more directions is one face per triple;
     the copies give repeated Voronoi vertices, which add nothing to an area.
     """
-    j, k = np.triu_indices(len(unit), 1)
+    j, k = np.triu_indices(len(unit), 1)  # every triple i < j < k
     i, pair = np.nonzero(np.arange(len(unit))[:, None] < j)
     j, k = j[pair], k[pair]
     x, y, z = unit.T
