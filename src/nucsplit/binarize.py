@@ -5,7 +5,8 @@ to slice, so a single global threshold misses dim objects. The volume
 is split along z into contiguous slab groups that are smoothed,
 histogrammed, and thresholded independently; foreground is everything
 strictly above the group threshold. ``segment`` smooths each slab once
-(``smooth_slabs``); its thresholds and edge weights read those values.
+(``smooth_slabs``): one float32 copy of the volume, blurred in place a
+slab at a time. Its thresholds and edge weights read those values.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .histmodel import (
     model_threshold,
     otsu_threshold,
 )
-from .volume import Volume, check_int, gaussian_smooth
+from .volume import Volume, check_int, gaussian_smooth, slab_ranges
 
 __all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "smooth_slabs", "binarize"]
 
@@ -55,25 +56,11 @@ class SlabResult:
     model: Optional[HistogramModel]
 
 
-def slab_ranges(sz: int, m: int) -> List[Tuple[int, int]]:
-    """Split ``sz`` slices into ``m`` contiguous near-equal groups; the
-    first groups take the remainder slices."""
-    if not 1 <= m <= sz:
-        raise ValueError(f"slab count must lie in [1, {sz}], got {m}")
-    base, rem = divmod(sz, m)
-    out = []
-    z = 0
-    for i in range(m):
-        size = base + (1 if i < rem else 0)
-        out.append((z, z + size))
-        z += size
-    return out
-
-
 def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
-    """Gaussian-smooth each slab group on its own with its edge slices
-    replicated, or return ``v`` when ``sigma_smooth`` is 0. A float volume
-    with a NaN or infinite sample is rejected before any smoothing."""
+    """``gaussian_smooth`` over the slab groups: each group blurred on its
+    own with its edge slices replicated, in one float32 copy of ``v``, or
+    ``v`` itself when ``sigma_smooth`` is 0. A float volume with a NaN or
+    infinite sample is rejected before any smoothing."""
     if v.data.dtype.kind == "f":
         nan = inf = 0
         for plane in v.data:  # a z-slice at a time: no whole-volume bool arrays
@@ -81,15 +68,7 @@ def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
                 nan, inf = nan + int(np.isnan(plane).sum()), inf + int(np.isinf(plane).sum())
         if nan or inf:
             raise ValueError(f"volume holds non-finite values: {nan} NaN and {inf} infinite samples")
-    if cfg.sigma_smooth == 0:
-        return v
-    ranges = slab_ranges(v.data.shape[0], cfg.slabs)
-    if len(ranges) == 1:
-        return gaussian_smooth(v, cfg.sigma_smooth)
-    out = np.empty(v.data.shape, dtype=np.float32)
-    for z_lo, z_hi in ranges:
-        out[z_lo:z_hi] = gaussian_smooth(Volume(v.data[z_lo:z_hi], v.spacing), cfg.sigma_smooth).data
-    return Volume(out, v.spacing)
+    return gaussian_smooth(v, cfg.sigma_smooth, cfg.slabs)
 
 
 def _levels(plane: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .nucmodel import NucleusModelParams
 from .partition import PartitionerConfig
 from .splitter import segment
 from .synthgen import SceneConfig, generate
-from .volume import read_rvol, write_rvol
+from .volume import read_json_object, read_rvol, write_rvol
 
 __all__ = ["PipelineConfig", "cli_main", "main"]
 
@@ -67,14 +67,6 @@ class PipelineConfig:
         return {name: dataclasses.asdict(cfg) for name, cfg in sections.items() if cfg is not None}
 
 
-def _load_json(path: str) -> Dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from e
-
-
 def _section(raw: Dict, name: str) -> Dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
@@ -89,7 +81,7 @@ def _section(raw: Dict, name: str) -> Dict:
 def load_pipeline_config(
     path: Optional[str], overrides: argparse.Namespace, need_model: bool
 ) -> PipelineConfig:
-    raw = _load_json(path) if path else {}
+    raw = read_json_object(path) if path else {}
     for name in raw:
         if name not in _SECTIONS:
             raise ValueError(f"unknown config section '{name}'")
@@ -115,7 +107,7 @@ def load_pipeline_config(
 
 
 def _load_scene(path: str, seed: Optional[int]) -> SceneConfig:
-    raw = _load_json(path)
+    raw = read_json_object(path)
     allowed = {f.name for f in dataclasses.fields(SceneConfig)}
     for key in raw:
         if key not in allowed:

@@ -478,12 +478,7 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
         raise ValueError("cannot bipartition a graph with fewer than 2 nodes")
     rng = np.random.default_rng(cfg.seed)
 
-    base = _Level(
-        np.asarray(g.indptr, dtype=np.int64),
-        np.asarray(g.indices, dtype=np.int64),
-        np.asarray(g.weights, dtype=np.float64),
-        np.ones(n, dtype=np.int64),
-    )
+    base = _Level(g.indptr, g.indices, g.weights, np.ones(n, dtype=np.int64))
     ceil_half = (n + 1) // 2
     max_side_w = int(math.floor((1.0 + cfg.imbalance) * ceil_half + 1e-9))
     cap = max(2, int(cfg.imbalance * ceil_half))
@@ -521,7 +516,7 @@ def bipartition(g: ComponentGraph, cfg: PartitionerConfig = PartitionerConfig())
     n1 = n - n0
     if max(n0, n1) > max_side_w:
         raise RuntimeError("partitioner produced an unbalanced result")
-    return Bipartition(side=side.astype(np.uint8), cut_weight=_cut_of(base, side), block_sizes=(n0, n1))
+    return Bipartition(side=side, cut_weight=_cut_of(base, side), block_sizes=(n0, n1))
 
 
 def split_blocks(c: Component, b: Bipartition) -> List[Component]:

@@ -124,22 +124,40 @@ class Component:
                 np.array([c.max() for c in cols], dtype=cols.dtype))
 
 
-def gaussian_smooth(v: Volume, sigma: float) -> Volume:
-    """Separable Gaussian blur with edge replication at the borders.
+def slab_ranges(sz: int, m: int) -> list[tuple[int, int]]:
+    """Split ``sz`` slices into ``m`` contiguous near-equal groups; the
+    first groups take the remainder slices."""
+    if not 1 <= m <= sz:
+        raise ValueError(f"slab count must lie in [1, {sz}], got {m}")
+    base, rem = divmod(sz, m)
+    out = []
+    z = 0
+    for i in range(m):
+        size = base + (1 if i < rem else 0)
+        out.append((z, z + size))
+        z += size
+    return out
+
+
+def gaussian_smooth(v: Volume, sigma: float, slabs: int = 1) -> Volume:
+    """Separable Gaussian blur of each z range of ``slab_ranges(Sz, slabs)``
+    on its own, with edge replication at the range's borders.
 
     The kernel standard deviation is in voxel units per axis.  ``sigma=0``
-    returns the input volume unchanged; otherwise, a float32 volume.
+    returns the input volume unchanged; otherwise, a float32 copy of it,
+    each slab filtered in place.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return v
     radius = int(np.ceil(3.0 * sigma))
-    out = v.data.astype(np.float32)
-    for axis in range(3):
-        out = ndimage.gaussian_filter1d(
-            out, sigma, axis=axis, mode="nearest", radius=radius, output=np.float32
-        )
+    ranges = slab_ranges(v.data.shape[0], slabs)
+    out = v.data.astype(np.float32)  # a copy even of float32 data: the input is never filtered
+    for z_lo, z_hi in ranges:
+        slab = out[z_lo:z_hi]
+        for axis in range(3):
+            ndimage.gaussian_filter1d(slab, sigma, axis=axis, mode="nearest", radius=radius, output=slab)
     return Volume(out, v.spacing)
 
 
@@ -202,11 +220,26 @@ def write_rvol(path, v: Volume) -> None:
         f.write("\n")
 
 
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; any other JSON value, or
+    text that is not JSON, is a ``ValueError`` that names the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object, found a JSON {_JSON_TYPES[type(raw)]}")
+    return raw
+
+
 def read_rvol(path) -> Volume:
     """Read a volume written by :func:`write_rvol`."""
     path = os.fspath(path)
-    with open(path + ".json") as f:
-        header = json.load(f)
+    header = read_json_object(path + ".json")
     for field in ("size", "spacing", "dtype"):
         if field not in header:
             raise ValueError(f"rvol header missing field '{field}'")

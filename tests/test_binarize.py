@@ -233,9 +233,9 @@ def test_float_samples_are_foreground_when_rint_takes_them_above_the_threshold(s
 
 
 def test_binarize_holds_at_most_9_bytes_per_voxel_above_its_input():
-    """One slab's smoothing is returned as it is, and its histogram and mask
-    are made a z-slice at a time: the peak is smoothing's two float32
-    volumes, and no int64 copy of the slab."""
+    """Smoothing blurs one float32 copy in place, and each slab's histogram
+    and mask are made a z-slice at a time: the peak is that copy, the bool
+    mask and a z-slice's temporaries, and no int64 copy of the slab."""
     rng = np.random.default_rng(2)
     data = rng.integers(0, 400, size=(32, 96, 128)).astype(np.uint16)
     data[8:24, 20:70, 30:100] += 1500

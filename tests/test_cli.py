@@ -281,6 +281,36 @@ def test_data_errors_exit_2(tmp_path, scene_cfg, pipeline_cfg, capsys):
     assert "f32" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, found", [("[]", "array"), ('"abc"', "string"), ("null", "null"), ("3", "number")])
+@pytest.mark.parametrize("command", ["binarize", "segment"])
+def test_pipeline_config_that_is_not_an_object_exits_2(tmp_path, text, found, command, capsys):
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(text)
+    out = str(tmp_path / "o.rvol")
+    rc = cli_main([command, "--in", flat_volume(tmp_path), "--config", str(cfg), "--out", out])
+    assert rc == 2
+    assert f"{cfg} must hold a JSON object, found a JSON {found}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, found", [("[]", "array"), ("true", "boolean")])
+def test_scene_config_that_is_not_an_object_exits_2(tmp_path, text, found, capsys):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(text)
+    rc = cli_main(["synth", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"{cfg} must hold a JSON object, found a JSON {found}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, found", [("null", "null"), ('"size"', "string"), ("[1, 2]", "array")])
+def test_rvol_header_that_is_not_an_object_exits_2(tmp_path, pipeline_cfg, text, found, capsys):
+    vol = flat_volume(tmp_path)
+    with open(vol + ".json", "w") as f:
+        f.write(text)
+    rc = cli_main(["segment", "--in", vol, "--config", str(pipeline_cfg), "--out", str(tmp_path / "l.rvol")])
+    assert rc == 2
+    assert f"{vol}.json must hold a JSON object, found a JSON {found}" in capsys.readouterr().err
+
+
 def test_segment_requires_model_section(tmp_path, scene_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
     rc = cli_main(

@@ -651,6 +651,28 @@ def test_four_level_skipped_when_a_four_cell_outweighs_the_cap(monkeypatch):
     assert max(b.block_sizes) <= math.floor((1 + eps) * ((n + 1) // 2) + 1e-9)
 
 
+@pytest.mark.parametrize("voxels", [True, False])
+def test_base_level_holds_the_graphs_own_arrays(monkeypatch, voxels):
+    """The finest level reads the graph's CSR arrays as they are, int32
+    indices of a voxel graph included: no int64 copy of them."""
+    bases = []
+
+    def spy(g, base, *args):
+        bases.append((g, base))
+        return _coarsen(g, base, *args)
+
+    monkeypatch.setattr(partition, "_coarsen", spy)
+    if voxels:
+        g = voxel_graph((6, 8, 8))
+    else:
+        g = graph_from_edge_list(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 4, 1.0), (4, 5, 1.0)])
+    b = bipartition(g, PartitionerConfig(seed=1))
+    [(seen, base)] = bases
+    assert seen is g
+    assert base.indptr is g.indptr and base.indices is g.indices and base.weights is g.weights
+    assert b.side.dtype == np.uint8
+
+
 def test_grid_levels_stop_at_the_coarsening_floor(monkeypatch):
     g = voxel_graph((4, 8, 8))
     n_two, n_four = block_counts(g)

@@ -98,6 +98,29 @@ def test_gaussian_smooth_preserves_constant():
     assert np.allclose(out.data, 37.0, atol=1e-3)
 
 
+@pytest.mark.parametrize("slabs", [1, 3])
+def test_gaussian_smooth_holds_one_float32_volume(slabs):
+    """The three 1-D passes filter one float32 copy in place, slab by slab:
+    the peak above the input is that copy, 4 bytes per voxel."""
+    v = make_volume((96, 64, 24), seed=4)
+    tracemalloc.start()
+    try:
+        gaussian_smooth(v, 1.5, slabs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * v.data.size
+
+
+@pytest.mark.parametrize("slabs", [1, 3])
+def test_gaussian_smooth_leaves_a_float32_input_unchanged(slabs):
+    data = make_volume((12, 10, 9), seed=5).data.astype(np.float32)
+    v = Volume(data.copy())
+    out = gaussian_smooth(v, 1.2, slabs)
+    assert out.data is not v.data
+    assert np.array_equal(v.data, data)
+
+
 def brute_components(mask):
     """6-connected flood fill with explicit neighbor lists, for checking the fast path."""
     sz, sy, sx = mask.shape
