@@ -9,13 +9,7 @@ fits the mixture, and compares the model threshold with plain Otsu.
 import numpy as np
 
 from nucsplit.binarize import BinarizationConfig, binarize
-from nucsplit.histmodel import (
-    Histogram,
-    background_posterior,
-    em_fit,
-    model_threshold,
-    otsu_threshold,
-)
+from nucsplit.histmodel import background_posterior, em_fit, gray_levels, model_threshold, otsu_threshold
 from nucsplit.synthgen import SceneConfig, generate
 
 
@@ -34,15 +28,16 @@ def main():
     print(f"scene: {scene.nucleus_count} nuclei in {scene.size}, "
           f"background {scene.mu_b}, foreground {scene.mu_f}")
 
-    h = Histogram.from_values(intensity.data.ravel())
-    model = em_fit(h)
+    # the histogram is the count of each gray level
+    counts = np.bincount(gray_levels(intensity.data).ravel())
+    model = em_fit(counts)
     print("\nfitted mixture:")
     print(f"  background  p={model.p_b:.3f}  mu={model.mu_b:6.2f}  sigma={model.sigma_b:.2f}")
     print(f"  foreground  p={model.p_f:.3f}  mu={model.mu_f:6.2f}  sigma={model.sigma_f:.2f}")
     print(f"  bridge      alpha={model.alpha:.5f}")
 
     t_model = model_threshold(model)
-    t_otsu = otsu_threshold(h)
+    t_otsu = otsu_threshold(counts)
     print(f"\nmodel threshold {t_model}, otsu threshold {t_otsu}")
 
     print("\nbackground posterior along the gray axis:")

@@ -1,9 +1,9 @@
 """Surface area and sphericity from cut-metric weights.
 
-The directional weight table turns the boundary faces of a voxel set
-into a surface area estimate. Digitized balls should come out near
-4*pi*r^2 and score a sphericity close to 1; a cube lands at the
-analytic (pi/6)^(1/3).
+The 13 cut-metric weights, one per neighbour direction family, turn the
+boundary voxel pairs of a voxel set into a surface area estimate.
+Digitized balls should come out near 4*pi*r^2 and score a sphericity
+close to 1; a cube lands at the analytic (pi/6)^(1/3).
 """
 
 import math

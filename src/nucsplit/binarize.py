@@ -16,15 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .histmodel import (
-    DegenerateHistogram,
-    FitFailure,
-    Histogram,
-    HistogramModel,
-    em_fit,
-    model_threshold,
-    otsu_threshold,
-)
+from .histmodel import FitFailure, HistogramModel, em_fit, gray_levels, model_threshold, otsu_threshold
 from .volume import Volume, check_int, gaussian_smooth, slab_ranges
 
 __all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "smooth_slabs", "binarize"]
@@ -71,39 +63,34 @@ def smooth_slabs(v: Volume, cfg: BinarizationConfig) -> Volume:
     return gaussian_smooth(v, cfg.sigma_smooth, cfg.slabs)
 
 
-def _levels(plane: np.ndarray) -> np.ndarray:
-    """The gray levels of one z-slice: each sample rounded to the nearest integer."""
-    return np.rint(plane).astype(np.int64)
-
-
 def _binarize_slab(s: np.ndarray, cfg: BinarizationConfig, out: np.ndarray) -> Tuple[int, Optional[HistogramModel]]:
     """Threshold one slab's samples into the bool array ``out``, one z-slice
     at a time; returns the threshold and the model. A sample counts at its
-    gray level (``_levels``) and is foreground when that level is above the
-    threshold."""
+    gray level (``gray_levels``) and is foreground when that level is above
+    the threshold."""
     counts = np.zeros(1, dtype=np.int64)
     for plane in s:
-        c = Histogram.from_values(_levels(plane)).counts
+        c = np.bincount(gray_levels(plane).ravel())
         if len(c) > len(counts):
             c, counts = counts, c
         counts[: len(c)] += c
-    hist = Histogram(counts)
+    occupied = np.flatnonzero(counts)
     model: Optional[HistogramModel] = None
-    if len(hist.occupied()) < 2:
+    if len(occupied) < 2:
         # one gray level holds no contrast: the slab is all background
-        t = int(hist.occupied()[0])
+        t = int(occupied[0])
     elif cfg.method == "model_threshold":
-        model = em_fit(hist)
+        model = em_fit(counts)
         t = model_threshold(model)
     else:
-        t = otsu_threshold(hist)
+        t = otsu_threshold(counts)
         # downstream probability weights want a model even here
         try:
-            model = em_fit(hist)
-        except (DegenerateHistogram, FitFailure):
+            model = em_fit(counts)
+        except FitFailure:
             model = None
     for plane, o in zip(s, out):
-        np.greater(_levels(plane), t, out=o)
+        np.greater(gray_levels(plane), t, out=o)
     return t, model
 
 

@@ -31,7 +31,6 @@ are then both reliable, which is what sphericity consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,21 +128,6 @@ def voronoi_fractions(directions: np.ndarray, spacing) -> np.ndarray:
     return 0.5 * (f + f[antipode])
 
 
-@dataclass(frozen=True)
-class CutMetricWeights:
-    """Per-family boundary-pair weights for one voxel spacing.
-
-    ``directions`` holds the 13 family representatives; ``fractions`` the
-    directed Voronoi solid-angle fractions of all 26 directions; ``omega``
-    the weight applied to each unordered boundary pair of a family.
-    """
-
-    spacing: tuple
-    directions: np.ndarray
-    fractions: np.ndarray
-    omega: np.ndarray
-
-
 def _bounded_lstsq(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The minimiser of |a x - b| over lo <= x <= hi, for ``a`` of full
     column rank.
@@ -214,18 +198,18 @@ def _calibration_problem(fractions: np.ndarray, spacing):
     return members, (rows, rhs, 0.05 * w0g, 20.0 * w0g)
 
 
-def cut_metric_weights(spacing) -> CutMetricWeights:
-    """Calibrated cut-metric weights of the 26-neighborhood for a spacing."""
+def cut_metric_weights(spacing) -> np.ndarray:
+    """The calibrated cut-metric weights of a spacing: the weight of each
+    unordered boundary pair along the 13 families ``DIRECTIONS_26[:13]``."""
     spacing = check_spacing(spacing)
-    fractions = voronoi_fractions(DIRECTIONS_26, spacing)
-    members, problem = _calibration_problem(fractions, spacing)
+    members, problem = _calibration_problem(voronoi_fractions(DIRECTIONS_26, spacing), spacing)
     omega = np.empty(13)
     for g, val in zip(members, _bounded_lstsq(*problem)):
         omega[g] = val
-    return CutMetricWeights(spacing=spacing, directions=DIRECTIONS_26[:13], fractions=fractions, omega=omega)
+    return omega
 
 
-def surface_area(c: Component, w: CutMetricWeights) -> float:
+def surface_area(c: Component, omega: np.ndarray) -> float:
     """Weighted count of 26-adjacent (inside, outside) voxel pairs.
 
     Each unordered pair is counted once.  Every voxel outside the component
@@ -236,14 +220,13 @@ def surface_area(c: Component, w: CutMetricWeights) -> float:
     inner = box[1:-1, 1:-1, 1:-1]
     s0, s1, s2 = box.shape
     area = 0.0
-    for k in range(len(w.directions)):
-        dx, dy, dz = (int(v) for v in w.directions[k])
+    for (dx, dy, dz), w in zip(DIRECTIONS_26[:13].tolist(), omega):
         ahead = box[1 + dz : s0 - 1 + dz, 1 + dy : s1 - 1 + dy, 1 + dx : s2 - 1 + dx]
         # the inside voxels with an outside neighbour at +d, plus those with
         # one at -d: each count is len(c) minus an inside-pair count, and
         # translating by -d maps A & (A + d) onto (A - d) & A = inner & ahead
         pairs = 2 * (len(c) - int((inner & ahead).sum()))
-        area += pairs * float(w.omega[k])
+        area += pairs * float(w)
     return area
 
 
@@ -252,11 +235,12 @@ def volume_of(c: Component, spacing) -> float:
     return len(c) * float(dx) * float(dy) * float(dz)
 
 
-def sphericity(c: Component, w: CutMetricWeights, spacing) -> float:
-    """Ratio of the area of the equal-volume sphere to the component's area:
+def sphericity(c: Component, omega: np.ndarray, spacing) -> float:
+    """Ratio of the area of the equal-volume sphere to the component's area
+    under the cut-metric weights ``omega`` of ``spacing``:
 
         Psi = pi^(1/3) * (6 V)^(2/3) / A
     """
     v = volume_of(c, spacing)
-    a = surface_area(c, w)
+    a = surface_area(c, omega)
     return math.pi ** (1.0 / 3.0) * (6.0 * v) ** (2.0 / 3.0) / a

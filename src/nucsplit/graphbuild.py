@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .histmodel import HistogramModel, background_posterior
+from .histmodel import HistogramModel, background_posterior, gray_levels
 from .volume import Component, Volume
 
 __all__ = ["EdgeWeightConfig", "ComponentGraph", "build_graph", "csr_from_edges"]
@@ -98,12 +98,12 @@ def build_graph(
     rel = coords - lo
     grid[rel[:, 2], rel[:, 1], rel[:, 0]] = np.arange(len(coords), dtype=np.int32)
 
-    if cfg.scheme == "const":
-        node_vals = None
-    else:
-        node_vals = v.data[coords[:, 2], coords[:, 1], coords[:, 0]].astype(np.float64)
-    if cfg.scheme == "prob":
-        node_post = background_posterior(model, np.clip(np.rint(node_vals), 0, None))  # on gray bins
+    if cfg.scheme != "const":
+        node_vals = v.data[coords[:, 2], coords[:, 1], coords[:, 0]]
+    if cfg.scheme == "grad":
+        node_vals = node_vals.astype(np.float64)
+    elif cfg.scheme == "prob":
+        node_post = background_posterior(model, gray_levels(node_vals))
 
     axes = []  # each axis's +edges (u, v, w): u ascending, v its +neighbour
     for axis, step in ((0, v.spacing[0]), (1, v.spacing[1]), (2, v.spacing[2])):

@@ -17,7 +17,7 @@ background density for thresholding and posterior probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -37,49 +37,17 @@ class FitFailure(RuntimeError):
     """Model fitting collapsed or produced no usable threshold."""
 
 
-class Histogram:
-    """Absolute frequencies of gray levels 0..K."""
+def gray_levels(samples) -> np.ndarray:
+    """The gray level of each sample: the nearest integer, as int64.
 
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or len(counts) == 0 or (counts < 0).any():
-            raise ValueError("histogram counts must be a 1D array of non-negative integers")
-        total = int(counts.sum())
-        if total <= 0:
-            raise ValueError("histogram must contain at least one sample")
-        self.counts = counts
-        self.total = total
-
-    @classmethod
-    def from_values(cls, values, n_levels: int | None = None) -> "Histogram":
-        """Count integer samples; ``n_levels`` forces a minimum number of bins."""
-        flat = np.asarray(values).ravel()
-        if not np.issubdtype(flat.dtype, np.integer):
-            raise ValueError(f"histogram input must be integral, got {flat.dtype}")
-        if flat.size and int(flat.min()) < 0:
-            raise ValueError("negative gray levels not allowed")
-        return cls(np.bincount(flat, minlength=n_levels or 1))
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.counts)
-
-    def normalized(self) -> np.ndarray:
-        return self.counts / self.total
-
-    def mean(self) -> float:
-        return float(np.arange(self.n_levels) @ self.counts) / self.total
-
-    def occupied(self) -> np.ndarray:
-        return np.flatnonzero(self.counts)
-
-    def __eq__(self, other):
-        return isinstance(other, Histogram) and bool(np.array_equal(self.counts, other.counts))
-
-    def __repr__(self):
-        return f"Histogram(n_levels={self.n_levels}, total={self.total})"
+    Every float sample is histogrammed, thresholded and looked up in a
+    model at this level; a negative level is rejected.
+    """
+    levels = np.empty(np.shape(samples), dtype=np.int64)
+    np.rint(samples, out=levels, casting="unsafe")  # one pass, no float temporary
+    if levels.size and int(levels.min()) < 0:
+        raise ValueError("negative gray levels not allowed")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -112,17 +80,17 @@ class HistogramModel:
             raise ValueError("alpha must be > 0")
 
 
-def otsu_threshold(h: Histogram) -> int:
+def otsu_threshold(counts: np.ndarray) -> int:
     """Threshold maximizing between-class variance; ties go to the smaller level.
 
-    Classes are ``i <= t`` and ``i > t``; callers treat values above t as
-    foreground.
+    ``counts`` holds the int64 count of each gray level. Classes are
+    ``i <= t`` and ``i > t``; callers treat values above t as foreground.
     """
-    occ = h.occupied()
+    occ = np.flatnonzero(counts)
     if len(occ) < 2:
         raise DegenerateHistogram("need at least 2 occupied gray levels")
-    hn = h.normalized()
-    i = np.arange(h.n_levels)
+    hn = counts / counts.sum()
+    i = np.arange(len(counts))
     w0 = np.cumsum(hn)
     m0 = np.cumsum(i * hn)
     mean = m0[-1]
@@ -136,21 +104,23 @@ def otsu_threshold(h: Histogram) -> int:
     return int(ts[np.argmax(var)])
 
 
-def iterative_threshold_init(h: Histogram) -> HistogramModel:
-    """Initial model from two-means iterative thresholding.
+def iterative_threshold_init(counts: np.ndarray) -> HistogramModel:
+    """Initial model from two-means iterative thresholding of the gray-level
+    counts.
 
     The threshold starts at the histogram mean and is replaced by the average
     of the two class means until the split stops moving.  Class means become
     mu_b and mu_f, class masses the priors; sigmas start at 1, alpha at 0.01.
     """
-    occ = h.occupied()
+    occ = np.flatnonzero(counts)
     if len(occ) < 2:
         raise DegenerateHistogram("need at least 2 occupied gray levels")
-    hn = h.normalized()
-    i = np.arange(h.n_levels)
+    total = int(counts.sum())
+    hn = counts / total
+    i = np.arange(len(counts))
     cum_w = np.cumsum(hn)
     cum_m = np.cumsum(i * hn)
-    t = h.mean()
+    t = float(i @ counts) / total
     k = -1
     for _ in range(100):
         k_new = min(max(int(math.floor(t)), occ[0]), occ[-1] - 1)
@@ -188,8 +158,8 @@ def model_eval(m: HistogramModel, i):
     return nb, ib, f, nb + ib + f
 
 
-def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
-    """One E+M iteration of the mixture fit.
+def em_step(counts: np.ndarray, m: HistogramModel) -> HistogramModel:
+    """One E+M iteration of the mixture fit to the gray-level counts.
 
     E-step: per-bin responsibilities ``w^c(i) = c(i) / h_model(i)`` for each
     of the three components.  M-step: priors are responsibility-weighted
@@ -197,8 +167,8 @@ def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
     refit from the bridge mass with the truncation correction
     ``eps = 2 sigma_b / (mu_f - mu_b)``.
     """
-    hn = h.normalized()
-    i = np.arange(h.n_levels, dtype=np.float64)
+    hn = counts / counts.sum()
+    i = np.arange(len(counts), dtype=np.float64)
     nb, ib, f, total = model_eval(m, i)
     with np.errstate(invalid="ignore", divide="ignore"):
         wb = np.where(total > 0, nb / total, 0.0)
@@ -229,24 +199,20 @@ def em_step(h: Histogram, m: HistogramModel) -> HistogramModel:
     return HistogramModel(p_b, mu_b, sigma_b, p_f, mu_f, sigma_f, alpha)
 
 
-def em_fit(h: Histogram) -> HistogramModel:
-    """Fit the mixture by EM from ``iterative_threshold_init`` until the largest
-    relative parameter change drops below ``EM_TOL`` (or ``EM_MAX_ITER`` iterations)."""
-    m = iterative_threshold_init(h)
+def em_fit(counts: np.ndarray) -> HistogramModel:
+    """Fit the mixture to the gray-level counts by EM from
+    ``iterative_threshold_init`` until the largest relative parameter change
+    drops below ``EM_TOL`` (or ``EM_MAX_ITER`` iterations)."""
+    m = iterative_threshold_init(counts)
+    params = astuple(m)
     for _ in range(EM_MAX_ITER):
-        m_new = em_step(h, m)
-        rel = max(
-            abs(b - a) / max(abs(a), 1e-12)
-            for a, b in zip(_param_tuple(m), _param_tuple(m_new))
-        )
-        m = m_new
+        m = em_step(counts, m)
+        new = astuple(m)  # a deep copy of some 6 us, so each model is converted once
+        rel = max(abs(b - a) / max(abs(a), 1e-12) for a, b in zip(params, new))
+        params = new
         if rel < EM_TOL:
             break
     return m
-
-
-def _param_tuple(m: HistogramModel):
-    return (m.p_b, m.mu_b, m.sigma_b, m.p_f, m.mu_f, m.sigma_f, m.alpha)
 
 
 def model_threshold(m: HistogramModel) -> int:

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import CutMetricWeights, cut_metric_weights, sphericity, volume_of
+import numpy as np
+
+from .geometry import cut_metric_weights, sphericity, volume_of
 from .volume import Component
 
 __all__ = [
@@ -72,13 +74,13 @@ class ScoreContext:
     """Everything score_function needs beyond the component itself.
 
     ``imbalance`` is the partitioner's balance tolerance eps; ``weights``
-    is the cut-metric table of ``spacing``, computed once here.
+    is the cut-metric weights of ``spacing``, computed once here.
     """
 
     spacing: Tuple[float, float, float]
     params: NucleusModelParams
     imbalance: float
-    weights: CutMetricWeights = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", cut_metric_weights(self.spacing))

@@ -237,19 +237,36 @@ def read_json_object(path) -> dict:
 
 
 def read_rvol(path) -> Volume:
-    """Read a volume written by :func:`write_rvol`."""
+    """Read a volume written by :func:`write_rvol`.
+
+    A header field that is missing or malformed is a ``ValueError`` that
+    names the field and the header file: ``size`` must be three integers
+    >= 1, ``spacing`` three numbers that pass ``check_spacing``, and
+    ``dtype`` one of the codes of ``DTYPE_CODES``.
+    """
     path = os.fspath(path)
-    header = read_json_object(path + ".json")
+    where = path + ".json"
+    header = read_json_object(where)
     for field in ("size", "spacing", "dtype"):
         if field not in header:
-            raise ValueError(f"rvol header missing field '{field}'")
-    if header["dtype"] not in DTYPE_CODES:
-        raise ValueError(f"rvol header dtype '{header['dtype']}' not supported")
-    sx, sy, sz = (int(s) for s in header["size"])
-    dt = np.dtype(DTYPE_CODES[header["dtype"]]).newbyteorder("<")
+            raise ValueError(f"{where}: rvol header missing field '{field}'")
+    size, spacing, code = header["size"], header["spacing"], header["dtype"]
+    if not (isinstance(size, list) and len(size) == 3 and all(type(s) is int and s >= 1 for s in size)):
+        raise ValueError(f"{where}: rvol header size must be three integers >= 1, got {size!r}")
+    if not (isinstance(spacing, list) and len(spacing) == 3 and all(type(s) in (int, float) for s in spacing)):
+        raise ValueError(f"{where}: rvol header spacing must be three numbers, got {spacing!r}")
+    try:
+        spacing = check_spacing(spacing)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+    if not (isinstance(code, str) and code in DTYPE_CODES):
+        raise ValueError(f"{where}: rvol header dtype must be one of {sorted(DTYPE_CODES)}, got {code!r}")
+    sx, sy, sz = size
+    dt = np.dtype(DTYPE_CODES[code]).newbyteorder("<")
     expected = sx * sy * sz * dt.itemsize
     actual = os.path.getsize(path)
     if actual != expected:
-        raise ValueError(f"rvol payload is {actual} bytes, header size implies {expected}")
-    flat = np.fromfile(path, dtype=dt).astype(DTYPE_CODES[header["dtype"]])
-    return Volume.from_flat(flat, (sx, sy, sz), tuple(float(s) for s in header["spacing"]))
+        raise ValueError(f"{path}: rvol payload is {actual} bytes, header size implies {expected}")
+    # a no-op on a little-endian host, so the payload is held once
+    flat = np.fromfile(path, dtype=dt).astype(DTYPE_CODES[code], copy=False)
+    return Volume.from_flat(flat, size, spacing)

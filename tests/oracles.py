@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 from scipy.spatial import SphericalVoronoi
 
-from nucsplit.geometry import CutMetricWeights
+from nucsplit.geometry import DIRECTIONS_26
 from nucsplit.graphbuild import ComponentGraph, csr_from_edges
 from nucsplit.partition import _cut_of
 from nucsplit.volume import Component, paint_component
@@ -39,7 +39,7 @@ def trf_bounded_lstsq(a, b, lo, hi) -> np.ndarray:
     return lsq_linear(a, b, bounds=(lo, hi), method="trf", tol=1e-12).x
 
 
-def two_sided_surface_area(c: Component, w: CutMetricWeights) -> float:
+def two_sided_surface_area(c: Component, omega: np.ndarray) -> float:
     """Cut-metric area with each family's boundary pairs counted from both
     ends: inside voxels whose neighbour at +d is outside, plus inside voxels
     whose neighbour at -d is outside."""
@@ -47,12 +47,11 @@ def two_sided_surface_area(c: Component, w: CutMetricWeights) -> float:
     inner = box[1:-1, 1:-1, 1:-1]
     s0, s1, s2 = box.shape
     area = 0.0
-    for k in range(len(w.directions)):
-        dx, dy, dz = (int(v) for v in w.directions[k])
+    for (dx, dy, dz), w in zip(DIRECTIONS_26[:13].tolist(), omega):
         ahead = box[1 + dz : s0 - 1 + dz, 1 + dy : s1 - 1 + dy, 1 + dx : s2 - 1 + dx]
         behind = box[1 - dz : s0 - 1 - dz, 1 - dy : s1 - 1 - dy, 1 - dx : s2 - 1 - dx]
         pairs = int((inner & ~ahead).sum()) + int((inner & ~behind).sum())
-        area += pairs * float(w.omega[k])
+        area += pairs * float(w)
     return area
 
 

@@ -18,8 +18,6 @@ from nucsplit.evaluate import evaluate
 from nucsplit.geometry import cut_metric_weights, sphericity, surface_area
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph
 from nucsplit.histmodel import (
-    DegenerateHistogram,
-    Histogram,
     HistogramModel,
     em_fit,
     model_eval,
@@ -131,7 +129,7 @@ def test_criterion_3_otsu_oracle():
         if (counts > 0).sum() < 2:
             continue
         trials += 1
-        if otsu_threshold(Histogram(counts)) == brute_otsu([int(c) for c in counts]):
+        if otsu_threshold(counts) == brute_otsu([int(c) for c in counts]):
             agreements += 1
     check(3, "otsu equals exhaustive argmax", agreements == 1000, f"{agreements}/1000 agree")
 
@@ -152,7 +150,7 @@ def test_criterion_4_em_recovery():
             p_b=p_b, mu_b=mu_b, sigma_b=sigma_b, p_f=1 - p_b, mu_f=mu_f, sigma_f=sigma_f, alpha=alpha
         )
         _, _, _, density = model_eval(truth, grid)
-        h = Histogram(rng.multinomial(1_000_000, density / density.sum()))
+        h = rng.multinomial(1_000_000, density / density.sum())
         t0 = time.perf_counter()
         fitted = em_fit(h)
         worst_time = max(worst_time, time.perf_counter() - t0)

@@ -12,9 +12,10 @@ from scipy import ndimage
 
 from nucsplit import splitter
 from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges, smooth_slabs
-from nucsplit.histmodel import Histogram, otsu_threshold
+from nucsplit.histmodel import otsu_threshold
 from nucsplit.nucmodel import NucleusModelParams
 from nucsplit.splitter import segment
+from nucsplit.synthgen import SceneConfig, generate
 from nucsplit.volume import Volume, connected_components, gaussian_smooth
 
 
@@ -116,13 +117,31 @@ def test_otsu_mask_invariant_under_doubling():
         assert np.array_equal(m1.data, m2.data)
 
 
+@pytest.mark.parametrize("slabs", [1, 4])
+def test_otsu_mask_invariant_under_integer_offset_and_scale(slabs):
+    """Adding an integer to every u16 sample, or multiplying every sample by
+    a positive integer, maps each gray level to its own new level in the
+    same order, so Otsu's split and the mask stay byte-identical."""
+    cfg = BinarizationConfig("otsu", sigma_smooth=0.0, slabs=slabs)
+    for seed in range(6):
+        scene = SceneConfig(size=(40, 40, 16), nucleus_count=4, semi_axis_range=(5.0, 7.0),
+                            noise_sigma=8.0, psf_sigma=1.0, z_decay=0.5, seed=seed)
+        intensity, _ = generate(scene)
+        base, _ = binarize(intensity, cfg)
+        assert 0 < base.data.sum() < base.data.size
+        data = intensity.data.astype(np.int64)
+        for moved in [data + k for k in (0, 17, 1000)] + [data * k for k in (1, 3)]:
+            mask, _ = binarize(Volume(moved.astype(np.uint16), intensity.spacing), cfg)
+            assert mask.data.tobytes() == base.data.tobytes()
+
+
 def test_single_slab_equals_direct_threshold():
     rng = np.random.default_rng(2)
     data = rng.integers(0, 200, size=(6, 12, 12)).astype(np.uint8)
     data[2:4, 2:8, 2:8] = 220
     v = Volume(data)
     mask, slabs = binarize(v, BinarizationConfig("otsu", sigma_smooth=0.0, slabs=1))
-    t = otsu_threshold(Histogram.from_values(data))
+    t = otsu_threshold(np.bincount(data.ravel()))
     assert slabs[0].threshold == t
     assert np.array_equal(mask.data.astype(bool), data > t)
 

@@ -441,6 +441,17 @@ def test_infinite_spacing_in_the_header_exits_2(tmp_path, pipeline_cfg, capsys):
     assert "spacing must be finite and > 0" in capsys.readouterr().err
 
 
+def test_short_spacing_in_the_header_exits_2(tmp_path, pipeline_cfg, capsys):
+    vol = flat_volume(tmp_path)
+    header = json.loads(open(vol + ".json").read())
+    header["spacing"] = [1, 1]
+    with open(vol + ".json", "w") as f:
+        json.dump(header, f)
+    rc = cli_main(["binarize", "--in", vol, "--config", str(pipeline_cfg), "--out", str(tmp_path / "m.rvol")])
+    assert rc == 2
+    assert f"{vol}.json: rvol header spacing must be three numbers, got [1, 1]" in capsys.readouterr().err
+
+
 def test_synth_with_nan_spacing_exits_2(tmp_path, scene_cfg, capsys):
     raw = json.loads(scene_cfg.read_text())
     raw["spacing"] = [1.0, 1.0, float("nan")]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nucsplit.graphbuild as graphbuild
+from nucsplit.binarize import binarize
 from nucsplit.graphbuild import ComponentGraph, EdgeWeightConfig, build_graph, csr_from_edges
 from nucsplit.histmodel import HistogramModel, background_posterior
 from nucsplit.partition import _contract, _cut_of, _Level
@@ -123,6 +124,29 @@ def test_prob_scheme_matches_posteriors():
     # one foreground end is enough to make an edge expensive
     assert table[(1, 2)] > 1.0
     assert (g.weights <= -math.log(1e-9) + 1e-9).all()
+
+
+def test_a_half_sample_takes_the_even_gray_level_in_binarize_and_in_prob_weights():
+    """``gray_levels`` rounds half to even: 2.5 is level 2 in binarize's
+    histogram (the one occupied level becomes the threshold) and in the
+    posterior that a prob graph reads."""
+    v = Volume(np.full((1, 1, 2), 2.5, dtype=np.float32))
+    _, slabs = binarize(v)
+    assert slabs[0].threshold == 2
+    model = HistogramModel(0.5, 1.0, 1.0, 0.5, 4.0, 1.0, 0.01)
+    g = build_graph(full_component(v), v, model=model, cfg=EdgeWeightConfig("prob"))
+    at_2, at_3 = -np.log(background_posterior(model, np.array([2, 3])))
+    assert g.weights[0] == pytest.approx(at_2, rel=1e-12)
+    assert abs(at_3 - at_2) > 0.5
+
+
+def test_prob_scheme_rejects_negative_gray_levels():
+    model = reference_model()
+    v = Volume(np.array([[[-0.4, 5.0]]], dtype=np.float32))
+    build_graph(full_component(v), v, model=model, cfg=EdgeWeightConfig("prob"))  # -0.4 is level 0
+    v = Volume(np.array([[[-0.6, 5.0]]], dtype=np.float32))
+    with pytest.raises(ValueError, match="negative gray levels not allowed"):
+        build_graph(full_component(v), v, model=model, cfg=EdgeWeightConfig("prob"))
 
 
 def test_prob_scheme_requires_model():

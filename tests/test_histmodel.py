@@ -8,11 +8,11 @@ import pytest
 from nucsplit.histmodel import (
     DegenerateHistogram,
     FitFailure,
-    Histogram,
     HistogramModel,
     background_posterior,
     em_fit,
     em_step,
+    gray_levels,
     iterative_threshold_init,
     model_eval,
     model_threshold,
@@ -24,18 +24,18 @@ def spikes(pairs, n_levels=256):
     counts = np.zeros(n_levels, dtype=np.int64)
     for level, mass in pairs:
         counts[level] = mass
-    return Histogram(counts)
+    return counts
 
 
 def sample_histogram(model, n_draws, seed, n_levels=256):
-    """Draw a histogram from the model density on the integer grid."""
+    """Draw gray-level counts from the model density on the integer grid."""
     rng = np.random.default_rng(seed)
     _, _, _, density = model_eval(model, np.arange(n_levels))
     p = density / density.sum()
-    return Histogram(rng.multinomial(n_draws, p))
+    return rng.multinomial(n_draws, p)
 
 
-def brute_otsu(h):
+def brute_otsu(counts):
     """Between-class variance at every threshold in exact rational arithmetic.
 
     Counts are integers, so the variance is rational; Fractions settle ties
@@ -43,40 +43,34 @@ def brute_otsu(h):
     """
     from fractions import Fraction
 
-    counts = [int(c) for c in h.counts]
+    counts = [int(c) for c in counts]
+    total = sum(counts)
     best_t, best_v = None, Fraction(-1)
-    for t in range(h.n_levels - 1):
+    for t in range(len(counts) - 1):
         w0 = sum(counts[: t + 1])
-        w1 = h.total - w0
+        w1 = total - w0
         if w0 == 0 or w1 == 0:
             continue
         m0 = sum(i * c for i, c in enumerate(counts[: t + 1]))
         m1 = sum(i * c for i, c in enumerate(counts)) - m0
         diff = Fraction(m0, w0) - Fraction(m1, w1)
-        v = Fraction(w0, h.total) * Fraction(w1, h.total) * diff * diff
+        v = Fraction(w0, total) * Fraction(w1, total) * diff * diff
         if v > best_v:
             best_t, best_v = t, v
     return best_t, best_v
 
 
-def test_histogram_construction():
-    h = Histogram.from_values(np.array([0, 0, 1, 3, 3, 3]))
-    assert list(h.counts) == [2, 1, 0, 3]
-    assert h.total == 6
-    assert h.normalized().sum() == pytest.approx(1.0)
-    assert h.mean() == pytest.approx((0 * 2 + 1 + 3 * 3) / 6)
-    assert list(h.occupied()) == [0, 1, 3]
-    padded = Histogram.from_values(np.array([0, 2]), n_levels=10)
-    assert padded.n_levels == 10
-
-
-def test_histogram_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Histogram.from_values(np.array([-1, 2]))
-    with pytest.raises(ValueError):
-        Histogram.from_values(np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        Histogram(np.zeros(5, dtype=np.int64))
+def test_gray_levels_round_to_nearest_even_and_reject_negatives():
+    for dtype in (np.float32, np.float64):
+        levels = gray_levels(np.array([[0.4, 0.5, 1.5, 2.5], [2.6, 7.0, 254.5, 65535.0]], dtype=dtype))
+        assert levels.dtype == np.int64
+        assert levels.tolist() == [[0, 0, 2, 2], [3, 7, 254, 65535]]
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        assert gray_levels(np.array([0, 3, 255], dtype=dtype)).tolist() == [0, 3, 255]
+    assert gray_levels(np.array([-0.5])).tolist() == [0]  # rounds to level 0
+    for bad in ([-1, 2], [0.0, -0.51]):
+        with pytest.raises(ValueError, match="negative gray levels not allowed"):
+            gray_levels(np.array(bad))
 
 
 def test_otsu_two_spikes_equal_mass():
@@ -84,8 +78,8 @@ def test_otsu_two_spikes_equal_mass():
     t = otsu_threshold(h)
     assert t == 10  # every split in [10, 199] is optimal, ties go low
     _, best_v = brute_otsu(h)
-    hn = h.counts / h.total
-    levels = np.arange(h.n_levels)
+    hn = h / h.sum()
+    levels = np.arange(len(h))
     for cand in (10, 100, 199):
         w0 = hn[: cand + 1].sum()
         mu0 = (levels[: cand + 1] * hn[: cand + 1]).sum() / w0
@@ -108,9 +102,8 @@ def test_otsu_matches_brute_force_on_random_histograms():
         counts[rng.integers(0, 64, size=20)] = 0
         if (counts > 0).sum() < 2:
             counts[[5, 40]] = 100
-        h = Histogram(counts)
-        t_brute, _ = brute_otsu(h)
-        assert otsu_threshold(h) == t_brute
+        t_brute, _ = brute_otsu(counts)
+        assert otsu_threshold(counts) == t_brute
 
 
 def test_otsu_rejects_single_level():
@@ -136,11 +129,11 @@ def test_init_matches_direct_iteration():
             np.clip(np.rint(rng.normal(170, 20, 40_000)), 0, 255),
         ]
     ).astype(np.int64)
-    h = Histogram.from_values(draws, n_levels=256)
+    h = np.bincount(draws, minlength=256)
 
     # independent re-run of the averaging iteration with plain sums
-    hn = h.counts / h.total
-    t = h.mean()
+    hn = h / h.sum()
+    t = float(np.arange(256) @ hn)
     for _ in range(100):
         k = int(math.floor(t))
         below = hn[: k + 1]
@@ -258,7 +251,7 @@ def test_em_recovers_background_mass_of_pure_gaussians():
             np.rint(rng.normal(200, 8, 400_000)),
         ]
     )
-    h = Histogram.from_values(np.clip(draws, 0, 255).astype(np.int64), n_levels=256)
+    h = np.bincount(np.clip(draws, 0, 255).astype(np.int64), minlength=256)
     fitted = em_fit(h)
     assert fitted.p_b == pytest.approx(0.6, abs=0.02)
 
@@ -273,9 +266,7 @@ def test_em_fixpoint_is_stable():
 
 def test_em_reports_foreground_collapse():
     rng = np.random.default_rng(2)
-    h = Histogram.from_values(
-        np.rint(rng.normal(20, 5, 100_000)).clip(0, 255).astype(np.int64), n_levels=256
-    )
+    h = np.bincount(np.rint(rng.normal(20, 5, 100_000)).clip(0, 255).astype(np.int64), minlength=256)
     bad_init = HistogramModel(0.99, 20.0, 5.0, 0.01, 200.0, 5.0, 0.01)
     with pytest.raises(FitFailure, match="foreground prior collapsed"):
         em_step(h, bad_init)
@@ -285,8 +276,8 @@ def test_em_nb_f_log_likelihood_never_decreases():
     for seed in range(5):
         truth = reference_model()
         h = sample_histogram(truth, 200_000, seed=seed)
-        hn = h.normalized()
-        grid = np.arange(h.n_levels)
+        hn = h / h.sum()
+        grid = np.arange(len(h))
         m = iterative_threshold_init(h)
         prev = None
         for _ in range(30):
@@ -302,7 +293,7 @@ def test_fitted_model_mass_near_one():
     for seed in (0, 5, 9):
         h = sample_histogram(reference_model(), 300_000, seed=seed)
         fitted = em_fit(h)
-        _, _, _, total = model_eval(fitted, np.arange(h.n_levels))
+        _, _, _, total = model_eval(fitted, np.arange(len(h)))
         assert 0.9 <= total.sum() <= 1.1
 
 

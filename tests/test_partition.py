@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph, csr_from_edges
-from nucsplit.histmodel import Histogram, HistogramModel, em_fit
+from nucsplit.histmodel import HistogramModel, em_fit
 from nucsplit.partition import (
     FM_PASSES,
     FM_STALL,
@@ -211,7 +211,7 @@ def clipped_levels_graph():
     data = np.rint(rng.normal(110, 30, (8, 12, 12))).clip(0, 255).astype(np.uint8)
     data[:, :, :3] = np.rint(rng.normal(40, 12, (8, 12, 3))).clip(0, 255).astype(np.uint8)
     data[2:6, 4:8, 8:] = 240
-    model = em_fit(Histogram.from_values(data[data <= 200].astype(np.int64)))
+    model = em_fit(np.bincount(data[data <= 200].astype(np.int64)))
     comp = connected_components(Volume(np.ones(data.shape, dtype=np.uint8)))[0]
     return build_graph(comp, Volume(data), model=model, cfg=EdgeWeightConfig("prob"))
 

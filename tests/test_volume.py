@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -265,23 +266,56 @@ def test_rvol_payload_is_little_endian_scan_order(tmp_path):
 
 
 def test_rvol_header_errors(tmp_path):
-    v = make_volume((4, 4, 2), seed=1)
+    v = make_volume((4, 3, 2), seed=1)
     path = str(tmp_path / "vol.rvol")
     write_rvol(path, v)
+    good = json.load(open(path + ".json"))
 
-    import json
+    def read_with(**fields):
+        header = {k: w for k, w in {**good, **fields}.items() if w is not None}
+        json.dump(header, open(path + ".json", "w"))
+        return read_rvol(path)
 
-    header = json.load(open(path + ".json"))
-    del header["spacing"]
-    json.dump(header, open(path + ".json", "w"))
-    with pytest.raises(ValueError, match="spacing"):
-        read_rvol(path)
+    bad = [
+        ("spacing", None, "missing field 'spacing'"),
+        ("spacing", [1, 1], "spacing must be three numbers"),
+        ("spacing", 1.0, "spacing must be three numbers"),
+        ("spacing", [1, "1", 1], "spacing must be three numbers"),
+        ("spacing", [1, 0, 1], "spacing must be finite and > 0"),
+        ("size", [4.5, 3, 2], "size must be three integers >= 1"),
+        ("size", ["4", 3, 2], "size must be three integers >= 1"),
+        ("size", [True, 3, 2], "size must be three integers >= 1"),
+        ("size", 5, "size must be three integers >= 1"),
+        ("size", [4, 3], "size must be three integers >= 1"),
+        ("size", [-4, -3, 2], "size must be three integers >= 1"),
+        ("dtype", ["u8"], "dtype must be one of"),
+        ("dtype", "i16", "dtype must be one of"),
+    ]
+    for field, value, message in bad:
+        with pytest.raises(ValueError, match=message) as err:
+            read_with(**{field: value})
+        assert str(err.value).startswith(f"{path}.json: ")
+    assert read_with() == v
 
-    write_rvol(path, v)
     with open(path, "ab") as f:
         f.write(b"\x00")
     with pytest.raises(ValueError, match="bytes"):
         read_rvol(path)
+
+
+def test_rvol_read_holds_the_payload_once(tmp_path):
+    v = Volume(np.zeros((64, 256, 256), dtype=np.uint16))
+    path = str(tmp_path / "big.rvol")
+    write_rvol(path, v)
+    payload = v.data.nbytes
+    tracemalloc.start()
+    try:
+        back = read_rvol(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == v
+    assert peak < 1.1 * payload
 
 
 def test_component_first_flat_index():
