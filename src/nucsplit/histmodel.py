@@ -236,8 +236,8 @@ def background_posterior(m: HistogramModel, i):
     Where the model density underflows to zero the level is assigned to the
     class whose mean is nearer in units of its sigma.
     """
-    nb, ib, f, total = model_eval(m, i)
-    arr = np.asarray(i, dtype=np.float64)
+    arr = np.asarray(i, dtype=np.float64)  # model_eval then reads it without a copy
+    nb, ib, f, total = model_eval(m, arr)
     b = nb + ib
     nearer_b = np.abs(arr - m.mu_b) / m.sigma_b <= np.abs(arr - m.mu_f) / m.sigma_f
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -27,8 +27,16 @@ pass only the moved nodes and their neighbours are recounted. Below the
 coarsest level the set-up counts only the nodes under a coarser node
 with an edge across the coarser cut, as METIS keeps gains for boundary
 vertices only (Karypis and Kumar, SIAM J. Sci. Comput. 1998). A pass
-builds its heap from the boundary, reads neighbours as numpy slices and
-stops after FM_STALL moves without a new best cut, the fixed cap of METIS.
+builds its heap from the boundary and reads neighbours as numpy slices.
+It stops after FM_STALL moves without a new best cut, the fixed cap of
+METIS. A node moves at most once per pass, so on a level of at most
+FM_STALL nodes that count never ends a pass before its heap empties;
+there a pass also stops as soon as a move takes its running cut above
+FM_BLOWUP times its best. Either way it keeps the best prefix of its
+moves, so FM never raises a cut. On larger levels the same stop costs
+cut quality: a pass of a few hundred nodes that climbs past 3 times its
+best cut and comes back down is how a large graph recovers from a poor
+coarsest cut.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ __all__ = [
 COARSEN_FLOOR = 40  # coarsening stops at this many nodes
 FM_PASSES = 10  # most FM passes per level
 FM_STALL = 100  # an FM pass stops after this many moves without a new best cut
+FM_BLOWUP = 3.0  # on a level of at most FM_STALL nodes, also once its cut exceeds this many times its best
 
 
 @dataclass(frozen=True)
@@ -379,10 +388,13 @@ class _FMState:
 def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     """One FM pass from the boundary nodes; it stops after ``stall_limit``
     moves without a new best cut and keeps the best prefix of its moves.
-    Returns whether it kept any."""
+    On a level of at most ``stall_limit`` nodes, which that count cannot
+    stop early, it also stops once a move takes the running cut above
+    FM_BLOWUP times the best. Returns whether it kept any."""
     ptr, idx, wts, node_w = st.csr
     sides, ext, intw, moved = st.sides, st.ext, st.intw, st.moved
     total_w, max_side_w = st.total_w, st.max_side_w
+    small = len(sides) <= stall_limit
     heap = [(intw[u] - ext[u], u) for u in st.boundary]
     heapq.heapify(heap)  # pops in (-gain, id) order, whatever the set's order
 
@@ -416,6 +428,8 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
             fruitless = 0
         else:
             fruitless += 1
+            if small and cur > FM_BLOWUP * best_cut:
+                break  # this move is undone with the rest of the tail
         a, b = ptr[u], ptr[u + 1]
         for v, w in zip(idx[a:b].tolist(), wts[a:b].tolist()):
             if moved[v]:

@@ -214,7 +214,7 @@ def write_rvol(path, v: Volume) -> None:
     header = {"size": list(v.size), "spacing": list(v.spacing), "dtype": v.dtype_code}
     le = v.data.astype(v.data.dtype.newbyteorder("<"), copy=False)
     with open(path, "wb") as f:
-        f.write(le.tobytes())
+        le.tofile(f)  # the array's own buffer, not a bytes copy of it
     with open(path + ".json", "w") as f:
         json.dump(header, f)
         f.write("\n")

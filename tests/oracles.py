@@ -10,7 +10,7 @@ from scipy.spatial import SphericalVoronoi
 
 from nucsplit.geometry import DIRECTIONS_26
 from nucsplit.graphbuild import ComponentGraph, csr_from_edges
-from nucsplit.partition import _cut_of
+from nucsplit.partition import FM_BLOWUP, _cut_of
 from nucsplit.volume import Component, paint_component
 
 
@@ -169,7 +169,10 @@ def every_node_starts(lv) -> List[int]:
 
 
 def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
-    """The partitioner's FM pass over numpy state, one element read at a time."""
+    """The partitioner's FM pass over numpy state, one element read at a time.
+    It stops after ``stall_limit`` fruitless moves and, on a level of at
+    most ``stall_limit`` nodes, once a move takes the running cut above
+    FM_BLOWUP times the pass's best."""
     n = lv.n
     same = side[lv.rows] == side[lv.indices]
     ext = np.bincount(lv.rows[~same], weights=lv.weights[~same], minlength=n)
@@ -208,6 +211,8 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
             fruitless = 0
         else:
             fruitless += 1
+            if n <= stall_limit and cur > FM_BLOWUP * best_cut:
+                break
         for j in range(ptr[u], ptr[u + 1]):
             v = int(idx[j])
             if moved[v]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nucsplit.evaluate import evaluate
+from nucsplit.synthgen import SceneConfig, generate
 from nucsplit.volume import Volume
 from oracles import evaluate_reference
 
@@ -151,3 +152,39 @@ def test_matches_plain_python_pairing():
     # no voxel is foreground in either map, so no voxel pair is counted
     zero = np.zeros((2, 3, 4), dtype=np.uint8)
     assert evaluate(Volume(zero), Volume(zero)).to_dict() == evaluate_reference(zero, zero)
+
+
+def relabelled(labels: np.ndarray, rng) -> np.ndarray:
+    """``labels`` with its nonzero ids sent to distinct random nonzero ids."""
+    ids = np.unique(labels[labels > 0])
+    new = rng.choice(np.iinfo(np.uint32).max, size=len(ids), replace=False).astype(np.uint32) + 1
+    out = np.zeros_like(labels)
+    out[labels > 0] = new[np.searchsorted(ids, labels[labels > 0])]
+    return out
+
+
+def test_counts_invariant_under_permuted_ids():
+    """Metamorphic: permuting the predicted ids, and separately the truth
+    ids, leaves missed, added, merged and split as they were."""
+    _, truth = generate(SceneConfig(size=(48, 48, 24), nucleus_count=8, semi_axis_range=(5.0, 7.0), seed=5))
+    t = truth.data
+    ids = np.unique(t[t > 0])
+    assert len(ids) >= 4
+    p = t.copy()
+    p[t == ids[0]] = 0  # missed
+    p[t == ids[2]] = ids[1]  # merged
+    zz, yy, xx = np.nonzero(t == ids[3])
+    p[zz, yy, xx] = np.where(xx < np.percentile(xx, 30), 90, ids[3])  # split, 30/70
+    p[:2, :2, :2] = 91  # added, on background
+    assert not t[:2, :2, :2].any()
+
+    def counts(truth_ids, predicted_ids):
+        rep = evaluate(Volume(truth_ids), Volume(predicted_ids))
+        return rep.gt_count, rep.predicted_count, rep.missed, rep.added, rep.merged, rep.split
+
+    want = counts(t, p)
+    assert want[2:] == (1, 1, 1, 1)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        assert counts(t, relabelled(p, rng)) == want
+        assert counts(relabelled(t, rng), p) == want

@@ -11,6 +11,7 @@ import nucsplit.partition as partition
 from nucsplit.graphbuild import EdgeWeightConfig, build_graph, csr_from_edges
 from nucsplit.histmodel import HistogramModel, em_fit
 from nucsplit.partition import (
+    FM_BLOWUP,
     FM_PASSES,
     FM_STALL,
     Bipartition,
@@ -397,6 +398,79 @@ def test_growth_and_fm_pass_match_the_numpy_oracle():
             assert (st.cut, st.w0, changed) == want
             assert np.array_equal(side, ref)
             cut, w0 = want[:2]
+
+
+def test_fm_pass_stops_once_a_move_triples_its_best_cut(monkeypatch):
+    """A weighted path of 10 nodes, cut at its lightest edge 4-5 (weight 1).
+    The pass moves 4 (cut 2), then 3 (cut 4, above 3 times the best 1) and
+    stops there, long before FM_STALL. Without the rule it would go on to
+    move 2 (cut 1.5) and 1 (cut 3) before its heap empties, and so it does
+    where the level has more nodes than the stall limit. No move is kept."""
+    assert FM_BLOWUP == 3.0
+    path_w = np.array([3.0, 1.5, 4.0, 2.0, 1.0, 2.5, 3.0, 3.0, 3.0])  # edge i joins nodes i and i + 1
+    indptr, indices, weights = csr_from_edges(10, np.arange(9), np.arange(1, 10), path_w)
+    node_w = np.array([2, 1, 3, 1, 2, 2, 1, 3, 1, 2], dtype=np.int64)
+    lv = _Level(indptr, indices.astype(np.int64), weights, node_w)
+    start = (np.arange(10) >= 5).astype(np.uint8)
+    total_w = int(node_w.sum())
+    max_w = total_w - 1  # only an empty block is out of balance
+    moves = []
+    real_recount = _FMState.recount
+
+    def recount(st, moved):
+        moves.append(list(moved))  # every move of the pass, kept or undone
+        return real_recount(st, moved)
+
+    def one_pass(stall_limit):
+        side = start.copy()
+        st = _FMState(lv, side, total_w, max_w)
+        assert (st.cut, st.w0) == (1.0, 9)
+        changed = _fm_pass(st, stall_limit)
+        ref = start.copy()
+        assert (st.cut, st.w0, changed) == fm_pass(lv, ref, 9, total_w, max_w, stall_limit, 1.0) == (1.0, 9, False)
+        assert np.array_equal(side, ref) and np.array_equal(side, start)
+        assert st.cut == _cut_of(lv, side)
+        return moves[-1]
+
+    monkeypatch.setattr(_FMState, "recount", recount)
+    assert one_pass(FM_STALL) == [4, 3]
+    assert one_pass(9) == [4, 3, 2, 1]  # 10 nodes: the stall limit can end this pass
+    monkeypatch.setattr(partition, "FM_BLOWUP", math.inf)
+    assert one_pass(FM_STALL) == [4, 3, 2, 1]
+
+
+def test_fm_pass_with_the_blowup_stop_matches_the_numpy_oracle(monkeypatch):
+    """Passes at FM_STALL on small weighted levels, where the 3x stop is live,
+    equal the oracle's, and the stop cuts some of them short."""
+    moves = []
+    real_recount = _FMState.recount
+
+    def recount(st, moved):
+        moves.append(len(moved))
+        return real_recount(st, moved)
+
+    monkeypatch.setattr(_FMState, "recount", recount)
+    rng = np.random.default_rng(8)
+    shorter = 0
+    for _ in range(100):
+        lv = weighted_level(rng)
+        total_w = int(lv.node_w.sum())
+        max_w = math.floor(1.5 * ((total_w + 1) // 2) + 1e-9)
+        side = rng.integers(0, 2, size=lv.n).astype(np.uint8)
+        side[:2] = (0, 1)
+        ref, free = side.copy(), side.copy()
+        moves.clear()
+        st = _FMState(lv, side, total_w, max_w)
+        cut, w0 = st.cut, st.w0
+        changed = _fm_pass(st, FM_STALL)
+        assert (st.cut, st.w0, changed) == fm_pass(lv, ref, w0, total_w, max_w, FM_STALL, cut)
+        assert np.array_equal(side, ref)
+        assert st.cut <= cut
+        with monkeypatch.context() as m:
+            m.setattr(partition, "FM_BLOWUP", math.inf)
+            _fm_pass(_FMState(lv, free, total_w, max_w), FM_STALL)
+        shorter += len(moves) == 2 and moves[0] < moves[1]  # a pass that moves nothing records none
+    assert shorter > 0
 
 
 def grid_level(rng, shape):

@@ -318,6 +318,20 @@ def test_rvol_read_holds_the_payload_once(tmp_path):
     assert peak < 1.1 * payload
 
 
+def test_rvol_write_makes_no_copy_of_the_payload(tmp_path):
+    data = (np.arange(64 * 256 * 256, dtype=np.uint32) % 65521).astype(np.uint16).reshape(64, 256, 256)
+    v = Volume(data)
+    path = str(tmp_path / "big.rvol")
+    tracemalloc.start()
+    try:
+        write_rvol(path, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the payload is 8 MB
+    assert open(path, "rb").read() == data.astype("<u2").tobytes()
+
+
 def test_component_first_flat_index():
     c = Component(np.array([[1, 2, 1], [2, 2, 1]], dtype=np.int32))
     assert c.first_flat_index((4, 3, 2)) == 1 + 4 * (2 + 3 * 1)
