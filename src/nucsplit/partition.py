@@ -34,9 +34,10 @@ FM_STALL nodes that count never ends a pass before its heap empties;
 there a pass also stops as soon as a move takes its running cut above
 FM_BLOWUP times its best. Either way it keeps the best prefix of its
 moves, so FM never raises a cut. On larger levels the same stop costs
-cut quality: a pass of a few hundred nodes that climbs past 3 times its
-best cut and comes back down is how a large graph recovers from a poor
-coarsest cut.
+cut quality: there, on the levels of up to a few hundred nodes above the
+coarsest, a pass that climbs to some 20 times its best cut and comes
+back down is how a large graph recovers from a poor coarsest cut, one
+that the stop kept on a smaller level included.
 """
 
 from __future__ import annotations

@@ -556,21 +556,31 @@ def test_fm_keeps_no_zero_gain_swap_of_a_large_cut(monkeypatch):
     A pass that moves every node reaches the complement, and the running
     cut, summed move by move, comes out a few ulps lower. Under an absolute
     1e-12 tolerance every pass kept that swap and the next swapped back,
-    until FM_PASSES ran out; relative to the cut, the first pass keeps nothing."""
+    until FM_PASSES ran out; relative to the cut, the first pass keeps nothing.
+    On 6 nodes the FM_BLOWUP stop would end the pass at its fourth move
+    (cut 23350.9), before the complement, so the stop is switched off here."""
     eu, ev = np.array([0, 0, 1, 1, 2, 2, 3, 4]), np.array([1, 3, 2, 5, 3, 4, 4, 5])
     ew = np.array([5092.0, 3713.1, 4501.7, 5862.7, 7152.3, 6622.8, 7684.3, 1164.0])
     indptr, indices, weights = csr_from_edges(6, eu, ev, ew)
     lv = _Level(indptr, indices.astype(np.int64), weights, np.ones(6, dtype=np.int64))
-    passes = []
+    passes, moves = [], []
+    real_recount = _FMState.recount
 
     def counted(st, stall_limit):
         passes.append(_fm_pass(st, stall_limit))
         return passes[-1]
 
+    def recount(st, moved):
+        moves.append(sorted(moved))
+        return real_recount(st, moved)
+
     monkeypatch.setattr(partition, "_fm_pass", counted)
+    monkeypatch.setattr(_FMState, "recount", recount)
+    monkeypatch.setattr(partition, "FM_BLOWUP", math.inf)
     side = np.array([1, 1, 1, 1, 1, 0], dtype=np.uint8)
     _fm_refine(lv, side, 6, 5)
     assert passes == [False]
+    assert moves == [[0, 1, 2, 3, 4, 5]]  # the pass reached the complement
     assert side.tolist() == [1, 1, 1, 1, 1, 0]
 
 
