@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .binarize import METHODS, BinarizationConfig, binarize
@@ -28,7 +27,7 @@ from .splitter import segment
 from .synthgen import SceneConfig, generate
 from .volume import read_json_object, read_rvol, write_rvol
 
-__all__ = ["PipelineConfig", "cli_main", "main"]
+__all__ = ["cli_main", "main"]
 
 _SECTIONS = {
     "binarization": BinarizationConfig,
@@ -55,63 +54,50 @@ _OVERRIDES = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    binarization: BinarizationConfig
-    weights: EdgeWeightConfig
-    partition: PartitionerConfig
-    model: Optional[NucleusModelParams] = None
-
-    def to_dict(self) -> Dict:
-        sections = {name: getattr(self, name) for name in _SECTIONS}
-        return {name: dataclasses.asdict(cfg) for name, cfg in sections.items() if cfg is not None}
-
-
-def _section(raw: Dict, name: str) -> Dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section '{name}' must be an object")
-    fields = {f.name for f in dataclasses.fields(_SECTIONS[name])}
-    for key in section:
+def _known_fields(raw: Dict, cls, where: str = "") -> Dict:
+    """A copy of ``raw``; a key that is not a field of ``cls`` is a
+    ``ValueError`` naming it, prefixed by ``where``."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
         if key not in fields:
-            raise ValueError(f"unknown config field '{name}.{key}'")
-    return dict(section)
+            raise ValueError(f"unknown config field '{where}{key}'")
+    return dict(raw)
 
 
-def load_pipeline_config(
-    path: Optional[str], overrides: argparse.Namespace, need_model: bool
-) -> PipelineConfig:
+def load_pipeline_config(path: Optional[str], overrides: argparse.Namespace, need_model: bool) -> Dict:
+    """The stage configs by section name, in ``_SECTIONS`` order; ``model``
+    only when ``need_model``."""
     raw = read_json_object(path) if path else {}
     for name in raw:
         if name not in _SECTIONS:
             raise ValueError(f"unknown config section '{name}'")
 
-    sections = {name: _section(raw, name) for name in _SECTIONS}
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config section '{name}' must be an object")
+        sections[name] = _known_fields(section, cls, f"{name}.")
     for key, section, _ in _OVERRIDES:
         value = getattr(overrides, key, None)
         if value is not None:
             sections[section][key] = value
 
-    model = None
     if need_model:
         for key in ("v_min", "v_max"):
             if key not in sections["model"]:
                 raise ValueError(f"config field 'model.{key}' is required")
-        model = NucleusModelParams(**sections["model"])
-    return PipelineConfig(
-        binarization=BinarizationConfig(**sections["binarization"]),
-        weights=EdgeWeightConfig(**sections["weights"]),
-        partition=PartitionerConfig(**sections["partition"]),
-        model=model,
-    )
+    else:
+        del sections["model"]
+    return {name: _SECTIONS[name](**fields) for name, fields in sections.items()}
+
+
+def _config_dict(cfgs: Dict) -> Dict:
+    return {name: dataclasses.asdict(cfg) for name, cfg in cfgs.items()}
 
 
 def _load_scene(path: str, seed: Optional[int]) -> SceneConfig:
-    raw = read_json_object(path)
-    allowed = {f.name for f in dataclasses.fields(SceneConfig)}
-    for key in raw:
-        if key not in allowed:
-            raise ValueError(f"unknown config field '{key}'")
+    raw = _known_fields(read_json_object(path), SceneConfig)
     for key in ("size", "spacing", "semi_axis_range", "psf_sigma"):
         if key in raw and isinstance(raw[key], list):
             raw[key] = tuple(raw[key])
@@ -140,15 +126,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_binarize(args: argparse.Namespace) -> int:
-    cfg = load_pipeline_config(args.config, args, need_model=False)
+    cfgs = load_pipeline_config(args.config, args, need_model=False)
     v = read_rvol(getattr(args, "in"))
-    mask, slabs = binarize(v, cfg.binarization)
+    mask, slabs = binarize(v, cfgs["binarization"])
     write_rvol(args.out, mask)
     print(
         json.dumps(
             {
                 "command": "binarize",
-                "config": cfg.to_dict(),
+                "config": _config_dict(cfgs),
                 "slabs": [dataclasses.asdict(s) for s in slabs],
                 "foreground_voxels": int(mask.data.sum()),
                 "output": args.out,
@@ -159,20 +145,11 @@ def cmd_binarize(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    cfg = load_pipeline_config(args.config, args, need_model=True)
+    cfgs = load_pipeline_config(args.config, args, need_model=True)
     v = read_rvol(getattr(args, "in"))
-    result = segment(
-        v,
-        cfg.model,
-        bin_cfg=cfg.binarization,
-        edge_cfg=cfg.weights,
-        part_cfg=cfg.partition,
-        threads=args.threads,
-    )
+    result = segment(v, cfgs["model"], cfgs["binarization"], cfgs["weights"], cfgs["partition"], args.threads)
     write_rvol(args.out, result.labels)
-    header = json.dumps(
-        {"command": "segment", "config": cfg.to_dict(), "seed": cfg.partition.seed}
-    )
+    header = json.dumps({"command": "segment", "config": _config_dict(cfgs), "seed": cfgs["partition"].seed})
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")

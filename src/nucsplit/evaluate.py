@@ -22,16 +22,24 @@ __all__ = ["EvalReport", "evaluate"]
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The six counts of one comparison. Each ``*_pct`` is derived: that
+    count as a percentage of ``gt_count``, or 0.0 without ground truth."""
+
     gt_count: int
     predicted_count: int
     missed: int
     added: int
     merged: int
     split: int
-    missed_pct: float = field(default=0.0)
-    added_pct: float = field(default=0.0)
-    merged_pct: float = field(default=0.0)
-    split_pct: float = field(default=0.0)
+    missed_pct: float = field(init=False)
+    added_pct: float = field(init=False)
+    merged_pct: float = field(init=False)
+    split_pct: float = field(init=False)
+
+    def __post_init__(self):
+        for name in ("missed", "added", "merged", "split"):
+            pct = 100.0 * getattr(self, name) / self.gt_count if self.gt_count else 0.0
+            object.__setattr__(self, f"{name}_pct", pct)
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -94,25 +102,11 @@ def evaluate(truth: Volume, predicted: Volume) -> EvalReport:
     back_rows = pk > 0
     back = _plurality(pk[back_rows], tk[back_rows], counts[back_rows])
 
-    gt_count = int(fwd.size)
-    predicted_count = int(back.size)
-    missed = int((fwd == 0).sum())
-    added = int((back == 0).sum())
-    merged = _excess(fwd)
-    split = _excess(back)
-
-    def pct(count: int) -> float:
-        return 100.0 * count / gt_count if gt_count else 0.0
-
     return EvalReport(
-        gt_count=gt_count,
-        predicted_count=predicted_count,
-        missed=missed,
-        added=added,
-        merged=merged,
-        split=split,
-        missed_pct=pct(missed),
-        added_pct=pct(added),
-        merged_pct=pct(merged),
-        split_pct=pct(split),
+        gt_count=int(fwd.size),
+        predicted_count=int(back.size),
+        missed=int((fwd == 0).sum()),
+        added=int((back == 0).sum()),
+        merged=_excess(fwd),
+        split=_excess(back),
     )

@@ -27,6 +27,7 @@ POSTERIOR_FLOOR = 1e-9
 PRIOR_COLLAPSE = 1e-8
 EM_MAX_ITER = 50
 EM_TOL = 1e-4
+MAX_LEVEL = 65535  # the top u16 level; a histogram has at most MAX_LEVEL + 1 bins
 
 
 class DegenerateHistogram(ValueError):
@@ -41,12 +42,15 @@ def gray_levels(samples) -> np.ndarray:
     """The gray level of each sample: the nearest integer, as int64.
 
     Every float sample is histogrammed, thresholded and looked up in a
-    model at this level; a negative level is rejected.
+    model at this level; a negative level, or one above ``MAX_LEVEL``, is
+    rejected.
     """
     levels = np.empty(np.shape(samples), dtype=np.int64)
     np.rint(samples, out=levels, casting="unsafe")  # one pass, no float temporary
     if levels.size and int(levels.min()) < 0:
         raise ValueError("negative gray levels not allowed")
+    if levels.size and int(levels.max()) > MAX_LEVEL:
+        raise ValueError(f"gray level {int(levels.max())} above {MAX_LEVEL} not allowed")
     return levels
 
 

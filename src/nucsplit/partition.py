@@ -548,6 +548,5 @@ def split_blocks(c: Component, b: Bipartition) -> List[Component]:
         if len(sub) == 0:
             continue
         box, origin = paint_component(Component(sub))
-        found.extend(coords + origin for coords in _pieces(box))
-    found.sort(key=lambda a: (int(a[0, 2]), int(a[0, 1]), int(a[0, 0])))
-    return [Component(coords) for coords in found]
+        found.extend(Component(coords + origin) for coords in _pieces(box))
+    return sorted(found, key=Component.scan_key)

@@ -25,24 +25,26 @@ from .graphbuild import EdgeWeightConfig, build_graph
 from .histmodel import HistogramModel
 from .nucmodel import Decision, NucleusModelParams, ScoreContext, score_function
 from .partition import PartitionerConfig, bipartition, split_blocks
-from .volume import Component, Volume, connected_components
+from .volume import Component, Volume, check_int, connected_components
 
 __all__ = ["SplitContext", "SegmentationResult", "recursive_split", "segment"]
 
 
 @dataclass(frozen=True)
 class SplitContext:
-    """Everything the recursion needs besides the component itself."""
+    """Everything the recursion needs besides the component and its
+    histogram model, one per ``segment`` call. The score context is derived:
+    its repartition gate reads the partitioner's imbalance."""
 
     volume: Volume  # intensity the edge weights read; segment passes the smooth_slabs output
-    score_ctx: ScoreContext
+    params: NucleusModelParams
     edge_cfg: EdgeWeightConfig = EdgeWeightConfig()
     part_cfg: PartitionerConfig = PartitionerConfig()
-    model: Optional[HistogramModel] = None
+    score_ctx: ScoreContext = field(init=False)
 
     def __post_init__(self):
-        if self.score_ctx.imbalance != self.part_cfg.imbalance:
-            raise ValueError("the repartition gate and the partitioner need the same imbalance")
+        score_ctx = ScoreContext(self.volume.spacing, self.params, self.part_cfg.imbalance)
+        object.__setattr__(self, "score_ctx", score_ctx)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def _depth_bound(n_voxels: int, imbalance: float) -> int:
     return int(math.ceil(math.log(max(n_voxels, 2)) / math.log(shrink))) + 3
 
 
-def _process(c: Component, s_parent: float, ctx: SplitContext, depth: int, max_depth: int):
+def _process(c: Component, s_parent: float, ctx: SplitContext, model, depth: int, max_depth: int):
     if depth > max_depth:
         raise RuntimeError(
             f"split recursion reached depth {depth}; balanced partitions should "
@@ -78,16 +80,18 @@ def _process(c: Component, s_parent: float, ctx: SplitContext, depth: int, max_d
     # repartition; single voxels cannot be cut and fall back to leaf scoring
     kept = []
     if len(c) >= 2:
-        graph = build_graph(c, ctx.volume, model=ctx.model, cfg=ctx.edge_cfg)
+        graph = build_graph(c, ctx.volume, model=model, cfg=ctx.edge_cfg)
         for child in split_blocks(c, bipartition(graph, ctx.part_cfg)):
-            kept.extend(_process(child, scored.score, ctx, depth + 1, max_depth))
+            kept.extend(_process(child, scored.score, ctx, model, depth + 1, max_depth))
     if kept:
         return kept
     return [(c, scored.score, scored.psi)] if scored.score > 0 else []
 
 
-def recursive_split(c: Component, ctx: SplitContext) -> List[Tuple[Component, float, float]]:
-    """Depth-first split of one foreground component.
+def recursive_split(c: Component, ctx: SplitContext,
+                    model: Optional[HistogramModel] = None) -> List[Tuple[Component, float, float]]:
+    """Depth-first split of one foreground component; ``model`` is the
+    histogram model that ``prob`` edge weights read.
 
     Returns the kept leaf components with their scores and sphericities.
     The top of the recursion has no parent, so the parent score starts at
@@ -95,7 +99,7 @@ def recursive_split(c: Component, ctx: SplitContext) -> List[Tuple[Component, fl
     volume and shape.
     """
     max_depth = _depth_bound(len(c), ctx.part_cfg.imbalance)
-    return _process(c, 0.0, ctx, 0, max_depth)
+    return _process(c, 0.0, ctx, model, 0, max_depth)
 
 
 def _model_for(c: Component, slabs: List[SlabResult]) -> Optional[HistogramModel]:
@@ -108,22 +112,16 @@ def _model_for(c: Component, slabs: List[SlabResult]) -> Optional[HistogramModel
     if home.model is not None:
         return home.model
     z = np.flatnonzero(per_z)
-    best = None
-    best_d = None
-    for s in slabs:
-        if s.model is None:
-            continue
-        d = int(np.abs(z - np.clip(z, s.z_lo, s.z_hi - 1)).min())
-        if best_d is None or d < best_d:
-            best, best_d = s.model, d
-    return best
+    # ties go to the lower slab; with no fitted slab, home's model: None
+    fitted = [s for s in slabs if s.model is not None]
+    return min(fitted, key=lambda s: np.abs(z - np.clip(z, s.z_lo, s.z_hi - 1)).min(), default=home).model
 
 
-# a forked worker's (component, context) list, set by the pool's initializer
-_work: List[Tuple[Component, SplitContext]] = []
+# a forked worker's recursive_split arguments, one tuple per component, set by the pool's initializer
+_work: List[tuple] = []
 
 
-def _set_work(work: List[Tuple[Component, SplitContext]]) -> None:
+def _set_work(work: List[tuple]) -> None:
     global _work
     _work = work
 
@@ -144,19 +142,16 @@ def segment(
     Each slab is smoothed once, for the thresholds and the edge weights.
     With ``threads`` above 1, forked workers split the components, largest
     first, where fork exists; the labels do not depend on ``threads``."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    check_int("threads", threads, 1)
     smoothed = smooth_slabs(v, bin_cfg)
     mask, slabs = binarize(smoothed, replace(bin_cfg, sigma_smooth=0.0))
-    score_ctx = ScoreContext(spacing=v.spacing, params=params, imbalance=part_cfg.imbalance)
+    ctx = SplitContext(smoothed, params, edge_cfg, part_cfg)
     components = connected_components(mask)
     del mask  # the components hold the foreground from here on
-    work = []
-    for comp in components:
-        model = _model_for(comp, slabs)
-        if edge_cfg.scheme == "prob" and model is None:
-            raise ValueError("probability edge weights need a fitted histogram model")
-        work.append((comp, SplitContext(smoothed, score_ctx, edge_cfg, part_cfg, model)))
+    prob = edge_cfg.scheme == "prob"  # only probability edge weights read a histogram model
+    work = [(comp, ctx, _model_for(comp, slabs) if prob else None) for comp in components]
+    if prob and any(model is None for _, _, model in work):
+        raise ValueError("probability edge weights need a fitted histogram model")
 
     kept: List[Tuple[Component, float, float]] = []
     if threads > 1 and len(work) > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -167,12 +162,10 @@ def segment(
             for leaves in pool.imap_unordered(_split_nth, order, chunksize=1):
                 kept.extend(leaves)
     else:
-        for comp, ctx in work:
-            kept.extend(recursive_split(comp, ctx))
+        for item in work:
+            kept.extend(recursive_split(*item))
 
-    # label ids follow the scan order of each kept component's first voxel
-    size = (v.data.shape[2], v.data.shape[1], v.data.shape[0])
-    kept.sort(key=lambda item: item[0].first_flat_index(size))
+    kept.sort(key=lambda item: item[0].scan_key())  # label ids follow scan order
 
     labels = np.zeros(v.data.shape, dtype=np.uint32)
     objects = []

@@ -111,11 +111,10 @@ class Component:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def first_flat_index(self, size) -> int:
-        """Scan-order offset of the first voxel inside a volume of ``size``."""
-        sx, sy, _ = size
+    def scan_key(self) -> tuple[int, int, int]:
+        """``(z, y, x)`` of the first voxel: components sorted by it are in scan order."""
         x, y, z = (int(v) for v in self.coords[0])
-        return x + sx * (y + sy * z)
+        return (z, y, x)
 
     def bounding_box(self):
         # a column at a time: reducing the (N, 3) array along axis 0 is ~10x slower

@@ -200,8 +200,8 @@ def test_threads_below_one_rejected_before_any_thread_starts(monkeypatch):
     monkeypatch.setattr(splitter, "smooth_slabs", started)
     v = Volume(np.random.default_rng(6).integers(0, 255, size=(8, 10, 10)).astype(np.uint8))
     cfg = BinarizationConfig("otsu", sigma_smooth=1.0, slabs=4)
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    for threads in (0, -3, 2.5):
+        with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads}"):
             segment(v, NucleusModelParams(v_min=10.0, v_max=100.0), bin_cfg=cfg, threads=threads)
 
 
@@ -266,6 +266,14 @@ def test_binarize_holds_at_most_9_bytes_per_voxel_above_its_input():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * data.size
+
+
+def test_gray_level_above_65535_rejected_by_value():
+    """One huge sample would otherwise make the slab histogram that many bins long."""
+    data = np.full((4, 8, 8), 10.0, dtype=np.float32)
+    data[2, 3, 4] = 1e6
+    with pytest.raises(ValueError, match="gray level 1000000 above 65535 not allowed"):
+        binarize(Volume(data))
 
 
 def test_negative_values_rejected():

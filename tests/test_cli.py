@@ -111,10 +111,25 @@ def test_binarize_reports_thresholds(tmp_path, scene_cfg, pipeline_cfg, capsys):
 def test_threads_below_one_exit_2(tmp_path, pipeline_cfg, capsys):
     args = ["--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", str(tmp_path / "out.rvol")]
     assert cli_main(["segment", *args, "--threads", "0"]) == 2
-    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    assert "threads must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert cli_main(["segment", *args, "--threads", "2.5"]) == 1  # argparse takes integers only
+    assert "invalid int value: '2.5'" in capsys.readouterr().err
     assert cli_main(["binarize", *args, "--threads", "1"]) == 1  # only segment takes --threads
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert not (tmp_path / "out.rvol").exists()
+
+
+@pytest.mark.parametrize("command", ["binarize", "segment"])
+def test_gray_level_above_65535_exits_2(tmp_path, pipeline_cfg, command, capsys):
+    data = np.full((4, 8, 8), 10.0, dtype=np.float32)
+    data[1, 2, 3] = 1e6
+    write_rvol(tmp_path / "huge.rvol", Volume(data))
+    out = tmp_path / "out.rvol"
+    rc = cli_main([command, "--in", str(tmp_path / "huge.rvol"), "--config", str(pipeline_cfg), "--out", str(out),
+                   "--sigma-smooth", "0"])
+    assert rc == 2
+    assert "gray level 1000000 above 65535 not allowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

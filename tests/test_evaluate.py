@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nucsplit.evaluate import evaluate
+from nucsplit.evaluate import EvalReport, evaluate
 from nucsplit.synthgen import SceneConfig, generate
 from nucsplit.volume import Volume
 from oracles import evaluate_reference
@@ -188,3 +188,11 @@ def test_counts_invariant_under_permuted_ids():
     for _ in range(5):
         assert counts(t, relabelled(p, rng)) == want
         assert counts(relabelled(t, rng), p) == want
+
+
+def test_report_derives_its_shares_from_the_counts():
+    rep = EvalReport(gt_count=4, predicted_count=4, missed=1, added=0, merged=0, split=0)
+    assert (rep.missed_pct, rep.added_pct, rep.merged_pct, rep.split_pct) == (25.0, 0.0, 0.0, 0.0)
+    assert EvalReport(0, 2, 0, 2, 0, 0).added_pct == 0.0
+    with pytest.raises(TypeError):
+        EvalReport(gt_count=4, predicted_count=4, missed=1, added=0, merged=0, split=0, missed_pct=0.0)

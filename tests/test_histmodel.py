@@ -71,6 +71,10 @@ def test_gray_levels_round_to_nearest_even_and_reject_negatives():
     for bad in ([-1, 2], [0.0, -0.51]):
         with pytest.raises(ValueError, match="negative gray levels not allowed"):
             gray_levels(np.array(bad))
+    assert gray_levels(np.array([65535.49])).tolist() == [65535]
+    for bad, level in (([3.0, 65535.5], 65536), ([1e6], 1000000), (np.array([70000], np.uint32), 70000)):
+        with pytest.raises(ValueError, match=f"gray level {level} above 65535 not allowed"):
+            gray_levels(np.array(bad))
 
 
 def test_otsu_two_spikes_equal_mass():

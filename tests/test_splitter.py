@@ -13,8 +13,8 @@ from nucsplit.binarize import BinarizationConfig, SlabResult, binarize
 from nucsplit.evaluate import evaluate
 from nucsplit.geometry import cut_metric_weights, sphericity
 from nucsplit.graphbuild import EdgeWeightConfig
-from nucsplit.nucmodel import NucleusModelParams, ScoreContext
-from nucsplit.partition import PartitionerConfig
+from nucsplit.nucmodel import NucleusModelParams
+from nucsplit.partition import PartitionerConfig, bipartition
 from nucsplit.splitter import SplitContext, _model_for, recursive_split, segment
 from nucsplit.synthgen import SceneConfig, generate
 from nucsplit.volume import Component, Volume, connected_components, gaussian_smooth
@@ -40,9 +40,7 @@ def single_component(mask, spacing=(1.0, 1.0, 1.0)):
 
 def make_ctx(mask, params, spacing=(1.0, 1.0, 1.0), seed=0):
     intensity = Volume(np.where(mask, 200, 20).astype(np.uint8), spacing)
-    part_cfg = PartitionerConfig(seed=seed)
-    score_ctx = ScoreContext(spacing=spacing, params=params, imbalance=part_cfg.imbalance)
-    return SplitContext(volume=intensity, score_ctx=score_ctx, part_cfg=part_cfg)
+    return SplitContext(volume=intensity, params=params, part_cfg=PartitionerConfig(seed=seed))
 
 
 def test_plateau_ball_kept_whole():
@@ -101,11 +99,15 @@ def test_single_voxel_repartition_falls_back_to_leaf():
     assert kept[0][1] == pytest.approx(0.238, abs=0.01)
 
 
-def test_split_context_rejects_two_imbalances():
+def test_split_context_derives_its_score_context():
     mask = ball_mask((12, 12, 12), (6, 6, 6), 4)
-    ctx = make_ctx(mask, NucleusModelParams(v_min=100.0, v_max=500.0))
-    with pytest.raises(ValueError, match="same imbalance"):
-        SplitContext(ctx.volume, ctx.score_ctx, part_cfg=PartitionerConfig(imbalance=0.9))
+    params = NucleusModelParams(v_min=100.0, v_max=500.0)
+    ctx = SplitContext(Volume(mask.astype(np.uint8), (1.0, 1.0, 2.0)), params,
+                       part_cfg=PartitionerConfig(imbalance=0.9))
+    gate = ctx.score_ctx
+    assert (gate.spacing, gate.params, gate.imbalance) == ((1.0, 1.0, 2.0), params, 0.9)
+    with pytest.raises(TypeError):
+        SplitContext(ctx.volume, params, score_ctx=ctx.score_ctx)
 
 
 def test_segment_gates_repartition_with_partitioner_imbalance():
@@ -224,6 +226,54 @@ def test_segment_invariant_under_xy_flips_and_transpose(clean_scene, k):
     assert len(result.objects) == 7
     rep = evaluate(truth, result.labels)
     assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 0, 0, 0)
+
+
+# the same anisotropic scene segmented as stored and with z swapped for x or
+# for y, its spacing permuted alike: 12 components, 12 bipartitions, 24 nuclei
+PERM_SCENE = SceneConfig(size=(96, 96, 24), spacing=(1.0, 1.0, 5.0), nucleus_count=24, semi_axis_range=(9.5, 11.7),
+                         clustering=0.3, mu_b=20.0, mu_f=200.0, noise_sigma=6.0, psf_sigma=(1.0, 1.0, 0.4), seed=7)
+SWAPS = {"as stored": (0, 1, 2), "x<->z": (2, 1, 0), "y<->z": (1, 0, 2)}  # [z, y, x] data axes
+
+
+def permute_axes(v, axes):
+    """``v`` with its ``[z, y, x]`` data axes permuted by ``axes``, the spacing alike."""
+    zyx = v.spacing[::-1]
+    return Volume(v.data.transpose(axes), tuple(zyx[a] for a in axes)[::-1])
+
+
+def test_segment_invariant_under_swapping_z_with_x_or_y(monkeypatch):
+    scene = generate(PERM_SCENE)
+    bin_cfg = BinarizationConfig(method="otsu", sigma_smooth=0.7, slabs=1)
+    params = NucleusModelParams(v_min=2900.0, v_max=8550.0)
+    cuts = []
+    monkeypatch.setattr(splitter, "bipartition", lambda g, cfg: cuts.append(g.n_nodes) or bipartition(g, cfg))
+    counts = {}
+    for name, axes in SWAPS.items():
+        intensity, truth = (permute_axes(v, axes) for v in scene)
+        cuts.clear()
+        result = segment(intensity, params, bin_cfg=bin_cfg, edge_cfg=EdgeWeightConfig("grad", sigma_grad=100.0),
+                         part_cfg=PartitionerConfig(seed=1))
+        assert len(connected_components(binarize(intensity, bin_cfg)[0])) == 12, name
+        assert len(cuts) == 12, name
+        rep = evaluate(truth, result.labels)
+        assert (rep.missed, rep.added, rep.merged, rep.split) == (0, 0, 0, 0), name
+        counts[name] = sorted(o["voxel_count"] for o in result.objects)
+    assert len(counts["as stored"]) == 24
+    assert counts["x<->z"] == counts["y<->z"] == counts["as stored"]
+
+
+def test_sphericity_invariant_under_swapping_z_with_x_or_y():
+    intensity, _ = generate(PERM_SCENE)
+    mask, _ = binarize(intensity, BinarizationConfig(method="otsu", sigma_smooth=0.7))
+    spacing = intensity.spacing
+    for axes in SWAPS.values():
+        cols = [2 - axes[2 - j] for j in range(3)]  # (x, y, z) columns of the permuted copy
+        swapped = tuple(spacing[i] for i in cols)
+        assert swapped == permute_axes(intensity, axes).spacing
+        for c in connected_components(mask):
+            psi = sphericity(c, cut_metric_weights(spacing), spacing)
+            moved = sphericity(Component(c.coords[:, cols]), cut_metric_weights(swapped), swapped)
+            assert moved == pytest.approx(psi, rel=1e-12, abs=0)
 
 
 def test_segment_reports_the_sphericity_of_each_label():

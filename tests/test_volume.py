@@ -332,6 +332,14 @@ def test_rvol_write_makes_no_copy_of_the_payload(tmp_path):
     assert open(path, "rb").read() == data.astype("<u2").tobytes()
 
 
-def test_component_first_flat_index():
-    c = Component(np.array([[1, 2, 1], [2, 2, 1]], dtype=np.int32))
-    assert c.first_flat_index((4, 3, 2)) == 1 + 4 * (2 + 3 * 1)
+def test_component_scan_key():
+    c = Component(np.array([[1, 2, 3], [2, 2, 3]], dtype=np.int32))
+    assert c.scan_key() == (3, 2, 1)  # (z, y, x) of the first voxel
+    assert all(type(v) is int for v in c.scan_key())
+    # sorting by the key is sorting by the first voxel's flat offset x + Sx * (y + Sy * z)
+    rng = np.random.default_rng(0)
+    comps = [Component(rng.integers(0, 6, size=(3, 3)).astype(np.int32)) for _ in range(40)]
+    size = (6, 6, 6)
+    offset = [int(c.coords[0, 0] + size[0] * (c.coords[0, 1] + size[1] * c.coords[0, 2])) for c in comps]
+    order = sorted(range(len(comps)), key=lambda i: comps[i].scan_key())
+    assert [offset[i] for i in order] == sorted(offset)
