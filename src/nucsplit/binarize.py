@@ -19,7 +19,7 @@ import numpy as np
 from .histmodel import FitFailure, HistogramModel, em_fit, gray_levels, model_threshold, otsu_threshold
 from .volume import Volume, check_int, gaussian_smooth, slab_ranges
 
-__all__ = ["BinarizationConfig", "SlabResult", "slab_ranges", "smooth_slabs", "binarize"]
+__all__ = ["BinarizationConfig", "SlabResult", "smooth_slabs", "binarize"]
 
 METHODS = ("otsu", "model_threshold")
 

@@ -16,7 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .binarize import METHODS, BinarizationConfig, binarize
 from .evaluate import evaluate
@@ -25,7 +25,7 @@ from .nucmodel import NucleusModelParams
 from .partition import PartitionerConfig
 from .splitter import segment
 from .synthgen import SceneConfig, generate
-from .volume import read_json_object, read_rvol, write_rvol
+from .volume import _JSON_TYPES, read_json_object, read_rvol, write_rvol
 
 __all__ = ["cli_main", "main"]
 
@@ -54,13 +54,36 @@ _OVERRIDES = (
 )
 
 
+def _json_type(value) -> str:
+    """A JSON value's type, an array's as the list of its elements' types."""
+    if type(value) is list:
+        return "[" + ", ".join(_json_type(v) for v in value) + "]"
+    return _JSON_TYPES[type(value)]
+
+
+def _wanted(hint) -> List[str]:
+    """The JSON types a field of type ``hint`` takes: a number for ``int``
+    and ``float``, an array for a tuple, each member's for a ``Union``."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return [t for a in args for t in _wanted(a)]
+    if get_origin(hint) is tuple:
+        return ["[" + ", ".join(_JSON_TYPES[a] for a in args) + "]"]
+    return [_JSON_TYPES[hint]]
+
+
 def _known_fields(raw: Dict, cls, where: str = "") -> Dict:
-    """A copy of ``raw``; a key that is not a field of ``cls`` is a
-    ``ValueError`` naming it, prefixed by ``where``."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in fields:
+    """A copy of ``raw``; a key that is not a field of ``cls``, or a value
+    of a JSON type its field does not take, is a ``ValueError`` naming the
+    field, prefixed by ``where``."""
+    hints = get_type_hints(cls)
+    for key, value in raw.items():
+        if key not in hints:
             raise ValueError(f"unknown config field '{where}{key}'")
+        wanted = _wanted(hints[key])
+        if _json_type(value) not in wanted:
+            wanted = " or ".join(wanted)
+            raise ValueError(f"config field '{where}{key}' must be JSON {wanted}, found {_json_type(value)}")
     return dict(raw)
 
 
@@ -98,9 +121,6 @@ def _config_dict(cfgs: Dict) -> Dict:
 
 def _load_scene(path: str, seed: Optional[int]) -> SceneConfig:
     raw = _known_fields(read_json_object(path), SceneConfig)
-    for key in ("size", "spacing", "semi_axis_range", "psf_sigma"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
     if seed is not None:
         raw["seed"] = seed
     return SceneConfig(**raw)

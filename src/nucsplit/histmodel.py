@@ -46,8 +46,12 @@ def gray_levels(samples) -> np.ndarray:
     rejected.
     """
     levels = np.empty(np.shape(samples), dtype=np.int64)
-    np.rint(samples, out=levels, casting="unsafe")  # one pass, no float temporary
+    with np.errstate(invalid="ignore"):  # a sample beyond int64 casts to its minimum, caught below
+        np.rint(samples, out=levels, casting="unsafe")  # one pass, no float temporary
     if levels.size and int(levels.min()) < 0:
+        huge = np.asarray(samples)[levels < 0].max()
+        if huge > MAX_LEVEL:
+            raise ValueError(f"gray level {float(huge):g} above {MAX_LEVEL} not allowed")
         raise ValueError("negative gray levels not allowed")
     if levels.size and int(levels.max()) > MAX_LEVEL:
         raise ValueError(f"gray level {int(levels.max())} above {MAX_LEVEL} not allowed")
@@ -84,19 +88,23 @@ class HistogramModel:
             raise ValueError("alpha must be > 0")
 
 
+def _class_sums(counts: np.ndarray):
+    """The occupied levels of ``counts``, and the cumulative share and first
+    moment of the counts up to each level; ``DegenerateHistogram`` below two."""
+    occ = np.flatnonzero(counts)
+    if len(occ) < 2:
+        raise DegenerateHistogram("need at least 2 occupied gray levels")
+    hn = counts / counts.sum()
+    return occ, np.cumsum(hn), np.cumsum(np.arange(len(counts)) * hn)
+
+
 def otsu_threshold(counts: np.ndarray) -> int:
     """Threshold maximizing between-class variance; ties go to the smaller level.
 
     ``counts`` holds the int64 count of each gray level. Classes are
     ``i <= t`` and ``i > t``; callers treat values above t as foreground.
     """
-    occ = np.flatnonzero(counts)
-    if len(occ) < 2:
-        raise DegenerateHistogram("need at least 2 occupied gray levels")
-    hn = counts / counts.sum()
-    i = np.arange(len(counts))
-    w0 = np.cumsum(hn)
-    m0 = np.cumsum(i * hn)
+    occ, w0, m0 = _class_sums(counts)
     mean = m0[-1]
     # thresholds keeping both classes non-empty
     ts = np.arange(occ[0], occ[-1])
@@ -116,15 +124,8 @@ def iterative_threshold_init(counts: np.ndarray) -> HistogramModel:
     of the two class means until the split stops moving.  Class means become
     mu_b and mu_f, class masses the priors; sigmas start at 1, alpha at 0.01.
     """
-    occ = np.flatnonzero(counts)
-    if len(occ) < 2:
-        raise DegenerateHistogram("need at least 2 occupied gray levels")
-    total = int(counts.sum())
-    hn = counts / total
-    i = np.arange(len(counts))
-    cum_w = np.cumsum(hn)
-    cum_m = np.cumsum(i * hn)
-    t = float(i @ counts) / total
+    occ, cum_w, cum_m = _class_sums(counts)
+    t = float(np.arange(len(counts)) @ counts) / int(counts.sum())
     k = -1
     for _ in range(100):
         k_new = min(max(int(math.floor(t)), occ[0]), occ[-1] - 1)

@@ -47,6 +47,13 @@ class NucleusModelParams:
             raise ValueError("need 0 < v_min < v_max")
         if not 0.0 < self.shoulder < 0.5:
             raise ValueError("shoulder fraction must lie in (0, 0.5)")
+        if (1.0 + self.shoulder) * self.v_min > (1.0 - self.shoulder) * self.v_max:
+            # the volume trapezoid's knots (v_min, b, c, v_max) would have b > c
+            least = (1.0 + self.shoulder) / (1.0 - self.shoulder) * self.v_min
+            raise ValueError(
+                f"v_min = {self.v_min:g} and v_max = {self.v_max:g} leave no plateau at shoulder = "
+                f"{self.shoulder:g}: v_max must be at least {least:g}"
+            )
         if not 0.0 < self.psi_min < self.psi_ideal <= 1.0:
             raise ValueError("need 0 < psi_min < psi_ideal <= 1")
 

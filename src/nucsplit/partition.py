@@ -404,7 +404,7 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
     cur = best_cut = st.cut
     tol = 1e-12 * max(1.0, cur)  # the running cut drifts by rounding in proportion to its size
     best_len = 0
-    w0_hist = [w0]
+    best_w0 = w0
     fruitless = 0
     while heap and fruitless < stall_limit:
         neg_g, u = heapq.heappop(heap)
@@ -422,10 +422,10 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
         w0 = new_w0
         cur -= g
         hist.append(u)
-        w0_hist.append(w0)
         if cur < best_cut - tol:
             best_cut = cur
             best_len = len(hist)
+            best_w0 = w0
             fruitless = 0
         else:
             fruitless += 1
@@ -451,7 +451,7 @@ def _fm_pass(st: _FMState, stall_limit: int) -> bool:
         moved[u] = False
     keep = hist[:best_len]
     st.side[keep] = 1 - st.side[keep]
-    st.w0 = w0_hist[best_len]
+    st.w0 = best_w0
     st.cut = best_cut
     if hist:
         st.recount(hist)

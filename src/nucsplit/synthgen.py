@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -46,11 +46,13 @@ class SceneConfig:
     mu_b: float = 20.0
     mu_f: float = 200.0
     noise_sigma: float = 0.0
-    psf_sigma: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    psf_sigma: Union[float, Tuple[float, float, float]] = (0.0, 0.0, 0.0)  # a number is taken on all three axes
     z_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("size", "spacing", "semi_axis_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for n in self.size:
             check_int("size", n, 1)
         check_int("nucleus_count", self.nucleus_count, 0)

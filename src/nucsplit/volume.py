@@ -42,7 +42,7 @@ def check_spacing(spacing) -> tuple[float, float, float]:
 
 def check_int(name: str, value, low: int) -> None:
     """Reject a config value that is not an integer of at least ``low``, naming its field."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -64,9 +64,9 @@ class Volume:
         self.spacing = check_spacing(spacing)
 
     @classmethod
-    def from_flat(cls, flat, size, spacing=(1.0, 1.0, 1.0), dtype=None) -> "Volume":
+    def from_flat(cls, flat, size, spacing=(1.0, 1.0, 1.0)) -> "Volume":
         sx, sy, sz = (int(s) for s in size)
-        flat = np.asarray(flat, dtype=dtype)
+        flat = np.asarray(flat)
         if flat.size != sx * sy * sz:
             raise ValueError(f"flat data has {flat.size} samples, size {size} needs {sx * sy * sz}")
         return cls(flat.reshape(sz, sy, sx), spacing)
@@ -160,26 +160,18 @@ def gaussian_smooth(v: Volume, sigma: float, slabs: int = 1) -> Volume:
     return Volume(out, v.spacing)
 
 
-def _unpack_flat(flat_idx: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    x = flat_idx % sx
-    rest = flat_idx // sx
-    y = rest % sy
-    z = rest // sy
-    return np.stack([x, y, z], axis=1).astype(np.int32)
-
-
 def _pieces(mask: np.ndarray) -> list[np.ndarray]:
     """The (x, y, z) coordinates of each 6-connected piece of the nonzero
     voxels of a ``[z, y, x]`` array, rows in scan order, pieces in scan
     order of their first voxels."""
     lab, n = ndimage.label(mask, structure=_SIX_CONNECTED)
-    _, sy, sx = mask.shape
     flat = lab.ravel()
     nz = np.flatnonzero(flat)
     nz = nz[np.argsort(flat[nz], kind="stable")]  # groups by label, scan order within
     starts = np.searchsorted(flat[nz], np.arange(1, n + 2))
     first = nz[starts[:-1]]
-    return [_unpack_flat(nz[starts[i] : starts[i + 1]], sx, sy) for i in np.argsort(first)]
+    return [np.stack(np.unravel_index(nz[starts[i] : starts[i + 1]], mask.shape)[::-1], axis=1).astype(np.int32)
+            for i in np.argsort(first)]
 
 
 def connected_components(mask: Volume) -> list[Component]:
@@ -219,7 +211,8 @@ def write_rvol(path, v: Volume) -> None:
         f.write("\n")
 
 
-_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number", bool: "boolean",
+               type(None): "null"}
 
 
 def read_json_object(path) -> dict:

@@ -189,7 +189,7 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
     best_cut = cut
     tol = 1e-12 * max(1.0, cut)  # relative: the running cut drifts by rounding
     best_len = 0
-    w0_hist = [w0]
+    best_w0 = w0
     fruitless = 0
     while heap and fruitless < stall_limit:
         neg_g, u = heapq.heappop(heap)
@@ -204,10 +204,10 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
         w0 = new_w0
         cur -= gain[u]
         hist.append(u)
-        w0_hist.append(w0)
         if cur < best_cut - tol:
             best_cut = cur
             best_len = len(hist)
+            best_w0 = w0
             fruitless = 0
         else:
             fruitless += 1
@@ -232,7 +232,7 @@ def fm_pass(lv, side, w0, total_w, max_side_w, stall_limit, cut):
 
     for u in hist[best_len:][::-1]:
         side[u] = 1 - side[u]
-    return best_cut, w0_hist[best_len], best_len > 0
+    return best_cut, best_w0, best_len > 0
 
 
 def fm_refine(lv, side, total_w, max_side_w, stall_limit, passes):

@@ -11,12 +11,12 @@ import pytest
 from scipy import ndimage
 
 from nucsplit import splitter
-from nucsplit.binarize import BinarizationConfig, binarize, slab_ranges, smooth_slabs
+from nucsplit.binarize import BinarizationConfig, binarize, smooth_slabs
 from nucsplit.histmodel import otsu_threshold
 from nucsplit.nucmodel import NucleusModelParams
 from nucsplit.splitter import segment
 from nucsplit.synthgen import SceneConfig, generate
-from nucsplit.volume import Volume, connected_components, gaussian_smooth
+from nucsplit.volume import Volume, connected_components, gaussian_smooth, slab_ranges
 
 
 def ellipsoid_mask(shape_zyx, center_xyz, semi_xyz):
@@ -36,7 +36,8 @@ def test_config_validation():
         BinarizationConfig(slabs=0)
 
 
-@pytest.mark.parametrize("field, value", [("sigma_smooth", math.inf), ("sigma_smooth", math.nan), ("slabs", 2.5)])
+@pytest.mark.parametrize("field, value", [("sigma_smooth", math.inf), ("sigma_smooth", math.nan), ("slabs", 2.5),
+                                          ("slabs", True)])
 def test_config_rejects_bad_numbers_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         BinarizationConfig(**{field: value})

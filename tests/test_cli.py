@@ -162,6 +162,66 @@ def test_non_integral_scene_field_exits_2_by_name(tmp_path, scene_cfg, key, valu
     assert f"{key} must be an integer >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, wanted, found",
+    [
+        ("binarization", "sigma_smooth", "x", "number", "string"),
+        ("binarization", "slabs", True, "number", "boolean"),
+        ("binarization", "method", 1, "string", "number"),
+        ("model", "v_min", "10", "number", "string"),
+        ("model", "shoulder", None, "number", "null"),
+        ("partition", "imbalance", "0.5", "number", "string"),
+        ("weights", "sigma_grad", "a", "number", "string"),
+        ("weights", "sigma_grad", {"a": 1}, "number", "object"),
+    ],
+)
+def test_pipeline_field_of_the_wrong_json_type_exits_2_by_name(tmp_path, pipeline_cfg, section, key, value,
+                                                                wanted, found, capsys):
+    raw = json.loads(pipeline_cfg.read_text())
+    raw[section][key] = value
+    pipeline_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["segment", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg),
+                   "--out", str(tmp_path / "labels.rvol")])
+    assert rc == 2
+    assert f"config field '{section}.{key}' must be JSON {wanted}, found {found}\n" in capsys.readouterr().err
+    assert not (tmp_path / "labels.rvol").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, wanted, found",
+    [
+        ("size", 5, "[number, number, number]", "number"),
+        ("size", [8, 8], "[number, number, number]", "[number, number]"),
+        ("spacing", [1, "1", 1], "[number, number, number]", "[number, string, number]"),
+        ("semi_axis_range", [[2, 3], 4], "[number, number]", "[[number, number], number]"),
+        ("noise_sigma", "x", "number", "string"),
+        ("nucleus_count", True, "number", "boolean"),
+        ("psf_sigma", "x", "number or [number, number, number]", "string"),
+        ("psf_sigma", [1, 1], "number or [number, number, number]", "[number, number]"),
+    ],
+)
+def test_scene_field_of_the_wrong_json_type_exits_2_by_name(tmp_path, scene_cfg, key, value, wanted, found, capsys):
+    raw = json.loads(scene_cfg.read_text())
+    raw[key] = value
+    scene_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["synth", "--config", str(scene_cfg), "--out-prefix", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"config field '{key}' must be JSON {wanted}, found {found}\n" in capsys.readouterr().err
+    assert not (tmp_path / "s_intensity.rvol").exists()
+
+
+def test_volume_knots_out_of_order_exit_2_before_the_volume_is_read(tmp_path, pipeline_cfg, capsys):
+    raw = json.loads(pipeline_cfg.read_text())
+    raw["model"] = {"v_min": 300.0, "v_max": 400.0}
+    pipeline_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["segment", "--in", str(tmp_path / "missing.rvol"), "--config", str(pipeline_cfg),
+                   "--out", str(tmp_path / "labels.rvol")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "v_min = 300 and v_max = 400 leave no plateau at shoulder = 0.2: v_max must be at least 450" in err
+    assert "missing.rvol" not in err
+
+
 def test_segment_roundtrip_and_determinism(tmp_path, scene_cfg, pipeline_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
     common = [

@@ -77,6 +77,18 @@ def test_gray_levels_round_to_nearest_even_and_reject_negatives():
             gray_levels(np.array(bad))
 
 
+@pytest.mark.parametrize(
+    "huge, shown", [(1e19, "1e\\+19"), (3.4e38, "3.4e\\+38"), (np.inf, "inf")], ids=["1e19", "3.4e38", "inf"]
+)
+def test_gray_levels_report_a_sample_beyond_int64_as_above_65535(huge, shown):
+    # the cast to int64 turns such a sample into its most negative value
+    for samples in ([3.0, huge], [-7.0, huge]):
+        with pytest.raises(ValueError, match=f"gray level {shown} above 65535 not allowed"):
+            gray_levels(np.array(samples, dtype=np.float32))
+    with pytest.raises(ValueError, match="negative gray levels not allowed"):
+        gray_levels(np.array([3.0, -huge], dtype=np.float32))
+
+
 def test_otsu_two_spikes_equal_mass():
     h = spikes([(10, 500), (200, 500)])
     t = otsu_threshold(h)

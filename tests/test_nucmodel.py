@@ -101,6 +101,16 @@ def test_params_validation_and_derived():
     assert ctx_for(p, imbalance=1.0).v_repart == pytest.approx(300.0)
 
 
+def test_params_reject_volume_knots_out_of_order_by_name():
+    # knots (300, 360, 320, 400): the plateau would start after it ends
+    with pytest.raises(ValueError, match="v_min = 300 and v_max = 400 leave no plateau at shoulder = 0.2: "
+                                         "v_max must be at least 450"):
+        NucleusModelParams(v_min=300.0, v_max=400.0)
+    with pytest.raises(ValueError, match="shoulder = 0.25: v_max must be at least 500"):
+        NucleusModelParams(v_min=300.0, v_max=450.0, shoulder=0.25)
+    assert NucleusModelParams(v_min=300.0, v_max=450.0).volume_knots == (300.0, 360.0, 360.0, 450.0)
+
+
 def test_parent_above_half_always_wins():
     rng = np.random.default_rng(11)
     pairs = rng.uniform(0.0, 1.0, size=(10_000, 2))

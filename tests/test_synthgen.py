@@ -51,6 +51,20 @@ def test_config_rejects_non_finite_values_by_name(field, value):
         SceneConfig(size=(32, 32, 32), **{field: value})
 
 
+def test_config_holds_its_tuple_fields_as_tuples():
+    cfg = SceneConfig(size=[24, 20, 16], spacing=[1, 1.0, 2.5], semi_axis_range=[3, 4.5], psf_sigma=1)
+    assert cfg.size == (24, 20, 16)
+    assert cfg.spacing == (1, 1.0, 2.5) and type(cfg.spacing[0]) is int  # element types are kept
+    assert cfg.semi_axis_range == (3, 4.5)
+    assert cfg.psf_sigma == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["nucleus_count", "seed"])
+def test_config_rejects_a_boolean_count_by_name(field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got True"):
+        SceneConfig(size=(32, 32, 32), **{field: True})
+
+
 def test_empty_scene():
     cfg = SceneConfig(size=(24, 20, 16), nucleus_count=0, mu_b=30.0)
     intensity, truth = generate(cfg)
