@@ -3,8 +3,8 @@
 Four subcommands cover the workflow: `synth` renders a seeded scene,
 `binarize` thresholds a volume, `segment` runs the full pipeline, and
 `eval` compares a label volume against ground truth. Configuration
-lives in a JSON file whose sections mirror the stage configs; selected
-fields can be overridden by flags. Every run echoes its fully resolved
+lives in a JSON file whose sections mirror the stage configs; each
+field can be overridden by its flag. Every run echoes its fully resolved
 configuration so results can be reproduced from the report alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or fit error.
@@ -36,22 +36,9 @@ _SECTIONS = {
     "model": NucleusModelParams,
 }
 
-# one flag per overridable field, `--sigma-smooth` for `sigma_smooth`: (field,
-# section, argparse keywords); `binarize` takes the binarization flags only
-_OVERRIDES = (
-    ("method", "binarization", {"choices": METHODS}),
-    ("sigma_smooth", "binarization", {"type": float}),
-    ("slabs", "binarization", {"type": int}),
-    ("scheme", "weights", {"choices": SCHEMES}),
-    ("sigma_grad", "weights", {"type": float}),
-    ("imbalance", "partition", {"type": float}),
-    ("seed", "partition", {"type": int, "help": "partitioner seed"}),
-    ("v_min", "model", {"type": float}),
-    ("v_max", "model", {"type": float}),
-    ("shoulder", "model", {"type": float}),
-    ("psi_min", "model", {"type": float}),
-    ("psi_ideal", "model", {"type": float}),
-)
+# what a field's type cannot say about its flag; every field of ``_SECTIONS``
+# gets `--sigma-smooth` for `sigma_smooth`, parsed to its annotated type
+_FLAG_EXTRAS = {"method": {"choices": METHODS}, "scheme": {"choices": SCHEMES}, "seed": {"help": "partitioner seed"}}
 
 
 def _json_type(value) -> str:
@@ -89,7 +76,8 @@ def _known_fields(raw: Dict, cls, where: str = "") -> Dict:
 
 def load_pipeline_config(path: Optional[str], overrides: argparse.Namespace, need_model: bool) -> Dict:
     """The stage configs by section name, in ``_SECTIONS`` order; ``model``
-    only when ``need_model``."""
+    only when ``need_model``. A field's flag beats its JSON value, and a
+    field without a default must be set by one of them."""
     raw = read_json_object(path) if path else {}
     for name in raw:
         if name not in _SECTIONS:
@@ -101,17 +89,17 @@ def load_pipeline_config(path: Optional[str], overrides: argparse.Namespace, nee
         if not isinstance(section, dict):
             raise ValueError(f"config section '{name}' must be an object")
         sections[name] = _known_fields(section, cls, f"{name}.")
-    for key, section, _ in _OVERRIDES:
-        value = getattr(overrides, key, None)
-        if value is not None:
-            sections[section][key] = value
+        for f in dataclasses.fields(cls):
+            value = getattr(overrides, f.name, None)
+            if value is not None:
+                sections[name][f.name] = value
 
-    if need_model:
-        for key in ("v_min", "v_max"):
-            if key not in sections["model"]:
-                raise ValueError(f"config field 'model.{key}' is required")
-    else:
+    if not need_model:
         del sections["model"]
+    for name, fields in sections.items():
+        for f in dataclasses.fields(_SECTIONS[name]):
+            if f.default is dataclasses.MISSING and f.name not in fields:
+                raise ValueError(f"config field '{name}.{f.name}' is required")
     return {name: _SECTIONS[name](**fields) for name, fields in sections.items()}
 
 
@@ -212,9 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline_flags(p: argparse.ArgumentParser, with_model: bool) -> None:
         p.add_argument("--config", default=None, help="pipeline config JSON")
-        for key, section, kwargs in _OVERRIDES:
-            if with_model or section == "binarization":
-                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kwargs)
+        for name, cls in _SECTIONS.items():
+            if with_model or name == "binarization":
+                hints = get_type_hints(cls)
+                for f in dataclasses.fields(cls):
+                    p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, type=hints[f.name],
+                                   **_FLAG_EXTRAS.get(f.name, {}))
 
     p_bin = sub.add_parser("binarize", help="threshold a volume into a foreground mask")
     p_bin.add_argument("--in", required=True, help="input RVOL volume")

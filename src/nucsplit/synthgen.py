@@ -29,11 +29,9 @@ class PlacementError(RuntimeError):
     """Could not fit the requested nuclei into the volume."""
 
 
-def _triple(v) -> Tuple[float, float, float]:
-    if np.isscalar(v):
-        return (float(v),) * 3
-    x, y, z = v
-    return (float(x), float(y), float(z))
+def _floats(v) -> Tuple[float, ...]:
+    """A number taken on all three axes, or each value of a sequence, as floats."""
+    return (float(v),) * 3 if np.isscalar(v) else tuple(float(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -51,14 +49,17 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("size", "spacing", "semi_axis_range"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "psf_sigma", _floats(self.psf_sigma))
+        for name, n in (("size", 3), ("spacing", 3), ("semi_axis_range", 2), ("psf_sigma", 3)):
+            value = tuple(getattr(self, name))
+            if len(value) != n:
+                raise ValueError(f"{name} must hold {n} values, got {len(value)}")
+            object.__setattr__(self, name, value)
         for n in self.size:
             check_int("size", n, 1)
         check_int("nucleus_count", self.nucleus_count, 0)
         check_int("seed", self.seed, 0)
         check_spacing(self.spacing)
-        object.__setattr__(self, "psf_sigma", _triple(self.psf_sigma))
         for name in ("semi_axis_range", "mu_b", "mu_f", "noise_sigma", "psf_sigma"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -73,6 +74,11 @@ class SceneConfig:
             raise ValueError("noise sigma must be >= 0")
         if min(self.psf_sigma) < 0:
             raise ValueError("psf sigma must be >= 0")
+        # scipy's gaussian_filter builds a kernel of radius int(4 sigma + 0.5) per axis
+        longest = max(self.size)
+        if int(4.0 * max(self.psf_sigma) + 0.5) > longest:
+            raise ValueError(f"psf_sigma = {max(self.psf_sigma):g} needs a blur kernel radius above the scene's "
+                             f"longest axis of {longest} voxels: psf_sigma must be below {(longest + 0.5) / 4:g}")
         if not 0.0 <= self.z_decay < 1.0:
             raise ValueError("z_decay must lie in [0, 1)")
 

@@ -33,7 +33,9 @@ _SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
 
 
 def check_spacing(spacing) -> tuple[float, float, float]:
-    """The spacing as three floats; each must be finite and > 0."""
+    """The spacing as three floats; it must hold three values, each finite and > 0."""
+    if len(spacing) != 3:
+        raise ValueError(f"spacing must hold 3 values, got {len(spacing)}")
     spacing = (float(spacing[0]), float(spacing[1]), float(spacing[2]))
     if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise ValueError(f"spacing must be finite and > 0, got {spacing}")
@@ -144,13 +146,18 @@ def gaussian_smooth(v: Volume, sigma: float, slabs: int = 1) -> Volume:
 
     The kernel standard deviation is in voxel units per axis.  ``sigma=0``
     returns the input volume unchanged; otherwise, a float32 copy of it,
-    each slab filtered in place.
+    each slab filtered in place.  A kernel radius ``ceil(3 sigma)`` above
+    the volume's longest axis is rejected before any kernel is built.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return v
     radius = int(np.ceil(3.0 * sigma))
+    longest = max(v.data.shape)
+    if radius > longest:
+        raise ValueError(f"sigma_smooth = {sigma:g} needs a kernel radius of {radius} voxels, above the volume's "
+                         f"longest axis of {longest}: sigma_smooth must be at most {longest / 3:g}")
     ranges = slab_ranges(v.data.shape[0], slabs)
     out = v.data.astype(np.float32)  # a copy even of float32 data: the input is never filtered
     for z_lo, z_hi in ranges:

@@ -1,13 +1,20 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from nucsplit.cli import cli_main
+from nucsplit.binarize import BinarizationConfig
+from nucsplit.cli import build_parser, cli_main
+from nucsplit.graphbuild import EdgeWeightConfig
+from nucsplit.nucmodel import NucleusModelParams
+from nucsplit.partition import PartitionerConfig
 from nucsplit.volume import Volume, read_rvol, write_rvol
 
 
@@ -401,6 +408,18 @@ def test_segment_requires_model_section(tmp_path, scene_cfg, capsys):
     assert "model.v_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["v_min", "v_max"])
+def test_segment_without_a_required_model_field_exits_2(tmp_path, pipeline_cfg, key, capsys):
+    raw = json.loads(pipeline_cfg.read_text())
+    del raw["model"][key]
+    pipeline_cfg.write_text(json.dumps(raw))
+    out = tmp_path / "labels.rvol"
+    rc = cli_main(["segment", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"error: config field 'model.{key}' is required\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_flags_complete_a_configless_segment(tmp_path, scene_cfg, capsys):
     out = synth(tmp_path, scene_cfg, capsys)
     rc = cli_main(
@@ -599,3 +618,80 @@ def test_each_override_flag_sets_its_own_field(tmp_path, pipeline_cfg, flag, sec
     assert expected[section][key] != value
     expected[section][key] = value
     assert echoed_segment_config(tmp_path, pipeline_cfg, [flag, str(value)]) == expected
+
+
+@pytest.mark.parametrize("command", ["binarize", "segment"])
+def test_sigma_smooth_whose_kernel_outgrows_the_volume_exits_2(tmp_path, pipeline_cfg, command, capsys):
+    out = tmp_path / "out.rvol"
+    rc = cli_main([command, "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg), "--out", str(out),
+                   "--sigma-smooth", "3"])  # radius 9 on a 4x8x8 volume
+    assert rc == 2
+    assert ("sigma_smooth = 3 needs a kernel radius of 9 voxels, above the volume's longest axis of 8: "
+            "sigma_smooth must be at most 2.66667") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_psf_sigma_whose_kernel_outgrows_the_scene_exits_2(tmp_path, scene_cfg, capsys):
+    raw = json.loads(scene_cfg.read_text())
+    raw.update(size=[8, 8, 8], nucleus_count=0, psf_sigma=[0.0, 0.0, 2.2])
+    scene_cfg.write_text(json.dumps(raw))
+    rc = cli_main(["synth", "--config", str(scene_cfg), "--out-prefix", str(tmp_path / "s")])
+    assert rc == 2
+    assert "psf_sigma must be below 2.125" in capsys.readouterr().err
+    assert not (tmp_path / "s_intensity.rvol").exists()
+
+
+STAGE_CONFIGS = {"binarization": BinarizationConfig, "weights": EdgeWeightConfig, "partition": PartitionerConfig,
+                 "model": NucleusModelParams}
+STAGE_FIELDS = [(section, f.name) for section, cls in STAGE_CONFIGS.items() for f in dataclasses.fields(cls)]
+
+
+def segment_action(flag):
+    """The argparse action of ``flag`` in ``segment``, or None."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next((a for a in sub.choices["segment"]._actions if flag in a.option_strings), None)
+
+
+def another_value(cls, fields, key, choices):
+    """A value of ``key`` other than ``fields[key]`` that ``cls`` accepts along with the other ``fields``."""
+    v = fields[key]
+    if choices:
+        candidates = list(choices)
+    elif get_type_hints(cls)[key] is int:
+        candidates = [v + 1]
+    else:
+        candidates = [v * 1.25, v * 0.8, v * 1.01, v * 0.99, v + 1.0]
+    for c in candidates:
+        if c == v:
+            continue
+        try:
+            cls(**{**fields, key: c})
+        except ValueError:
+            continue
+        return c
+    raise AssertionError(f"no other valid value for {key}")
+
+
+@pytest.mark.parametrize("section, key", STAGE_FIELDS)
+def test_every_stage_config_field_has_a_typed_override_flag(tmp_path, pipeline_cfg, section, key, capsys):
+    cls = STAGE_CONFIGS[section]
+    flag = "--" + key.replace("_", "-")
+    action = segment_action(flag)
+    assert action is not None and action.dest == key
+
+    # every field written out, so the flag overrides a value the file sets
+    resolved = echoed_segment_config(tmp_path, pipeline_cfg, [])
+    pipeline_cfg.write_text(json.dumps(resolved))
+    value = another_value(cls, resolved[section], key, action.choices)
+    parsed = getattr(build_parser().parse_args(["segment", "--in", "i", "--out", "o", flag, str(value)]), key)
+    assert type(parsed) is get_type_hints(cls)[key] and parsed == value
+
+    resolved[section][key] = value
+    assert echoed_segment_config(tmp_path, pipeline_cfg, [flag, str(value)]) == resolved
+    capsys.readouterr()  # binarize takes the binarization flags only
+    rc = cli_main(["binarize", "--in", flat_volume(tmp_path), "--config", str(pipeline_cfg),
+                   "--out", str(tmp_path / "m.rvol"), flag, str(value)])
+    if section == "binarization":
+        assert rc == 0 and json.loads(capsys.readouterr().out)["config"][section] == resolved[section]
+    else:
+        assert rc == 1 and f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -51,6 +51,33 @@ def test_config_rejects_non_finite_values_by_name(field, value):
         SceneConfig(size=(32, 32, 32), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, wanted",
+    [
+        ("size", (8, 8), 3),
+        ("size", (8, 8, 8, 8), 3),
+        ("spacing", (1.0, 1.0), 3),
+        ("spacing", (1.0, 2.0, 3.0, 9.0), 3),
+        ("semi_axis_range", (2.0,), 2),
+        ("semi_axis_range", (2.0, 3.0, 4.0), 2),
+        ("psf_sigma", (1.0, 1.0), 3),
+        ("psf_sigma", (1.0, 1.0, 1.0, 1.0), 3),
+    ],
+)
+def test_config_rejects_a_tuple_of_the_wrong_length_by_name(field, value, wanted):
+    with pytest.raises(ValueError, match=f"^{field} must hold {wanted} values, got {len(value)}$"):
+        SceneConfig(**{"size": (32, 32, 32), field: value})
+
+
+@pytest.mark.parametrize("psf_sigma", [2.125, (0.0, 1e9, 0.0)])
+def test_config_rejects_a_psf_kernel_radius_above_the_longest_axis(psf_sigma):
+    # scipy's radius is int(4 sigma + 0.5): 8 voxels up to sigma 2.125, exclusive
+    with pytest.raises(ValueError, match=r"^psf_sigma = .* longest axis of 8 voxels: psf_sigma must be below 2\.125$"):
+        SceneConfig(size=(8, 6, 4), nucleus_count=0, psf_sigma=psf_sigma)
+    intensity, _ = generate(SceneConfig(size=(8, 6, 4), nucleus_count=0, psf_sigma=2.12))
+    assert intensity.data.shape == (4, 6, 8)
+
+
 def test_config_holds_its_tuple_fields_as_tuples():
     cfg = SceneConfig(size=[24, 20, 16], spacing=[1, 1.0, 2.5], semi_axis_range=[3, 4.5], psf_sigma=1)
     assert cfg.size == (24, 20, 16)

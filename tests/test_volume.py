@@ -51,6 +51,30 @@ def test_volume_rejects_spacing_that_is_not_finite_and_positive(bad):
         Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1.0, 1.0, bad))
 
 
+@pytest.mark.parametrize("spacing", [(1.0, 1.0), (1.0, 2.0, 3.0, 9.0)])
+def test_volume_rejects_spacing_of_the_wrong_length(spacing):
+    with pytest.raises(ValueError, match=f"^spacing must hold 3 values, got {len(spacing)}$"):
+        Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing=spacing)
+
+
+@pytest.mark.parametrize("sigma", [3.0, 1e9])
+def test_gaussian_smooth_rejects_a_kernel_radius_above_the_longest_axis(monkeypatch, sigma):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(volume.ndimage, "gaussian_filter1d", no_kernel)
+    v = make_volume((8, 6, 4))  # longest axis 8: ceil(3 sigma) may reach 8, so sigma up to 8/3
+    with pytest.raises(ValueError, match=r"^sigma_smooth = .* above the volume's longest axis of 8: "
+                                         r"sigma_smooth must be at most 2\.66667$"):
+        gaussian_smooth(v, sigma)
+
+
+def test_gaussian_smooth_takes_a_kernel_radius_of_the_longest_axis():
+    v = make_volume((8, 6, 4))
+    got = gaussian_smooth(v, 8 / 3)  # radius 8
+    assert np.allclose(got.data, smooth_reference(v.data, 8 / 3), atol=1e-3)
+
+
 def test_gaussian_kernel_shape_and_mass():
     for sigma in (0.3, 0.7, 1.0, 1.9, 3.2):
         k = gaussian_kernel_1d(sigma)
